@@ -30,16 +30,18 @@ func endToEnd(wl *workload, setup metric, w windowResult) []metric {
 			note: fmt.Sprintf("median slice of %.4g; %d ops in %.2fs", opRates, len(w.rec.ops), secs)},
 		{name: "goodput_MBps", unit: "MB/s", value: median(byteRates),
 			note: fmt.Sprintf("verified payload bytes, median slice of %.4g", byteRates)},
-		{name: "peak_heap_MB", value: float64(w.peakHeap) / (1 << 20), unit: "MB", note: "largest live heap a GC found"},
 		{name: "op_ms_p50", value: op.P50, unit: "ms", note: wl.primary + "_ms " + p50Note(op)},
 	}
 }
 
-// workloadMetrics returns the workload-specific latencies by their
-// per-workload names, and the failure fraction.
+// workloadMetrics returns the failure fraction, the peak heap and the
+// workload-specific latencies by their per-workload names.
 func workloadMetrics(w windowResult) []metric {
-	out := []metric{{name: "failed_frac", value: ratio(float64(w.rec.failed), float64(w.rec.attempted)), unit: "ratio",
-		note: fmt.Sprintf("%d/%d failed %v", w.rec.failed, w.rec.attempted, w.rec.failures)}}
+	out := []metric{
+		{name: "failed_frac", value: ratio(float64(w.rec.failed), float64(w.rec.attempted)), unit: "ratio",
+			note: fmt.Sprintf("%d/%d failed %v", w.rec.failed, w.rec.attempted, w.rec.failures)},
+		peakHeap("peak_heap_MB", w),
+	}
 	for _, name := range []string{"bcast", "allreduce", "query", "put", "get", "fault_bcast"} {
 		samples, ok := w.rec.samples[name]
 		if !ok {
@@ -52,6 +54,11 @@ func workloadMetrics(w windowResult) []metric {
 		}
 	}
 	return out
+}
+
+// peakHeap is the largest live heap a GC found during the window.
+func peakHeap(name string, w windowResult) metric {
+	return metric{name: name, value: float64(w.peakHeap) / (1 << 20), unit: "MB", note: "largest live heap a GC found"}
 }
 
 func residueMetrics(r residue, leaked int) []metric {
@@ -126,6 +133,7 @@ func perLayer(wl *workload, b *bench, w, plain windowResult, lp *layerProbes, re
 		{name: "runtime.allocs_per_op", value: ratio(float64(w.rt.mallocs), float64(ops)), unit: "count"},
 		{name: "runtime.alloc_bytes_per_op", value: ratio(float64(w.rt.allocBytes), float64(ops)), unit: "B"},
 		{name: "runtime.gc_pause_ms_per_s", value: ms(w.rt.gcPause) / secs, unit: "ms/s"},
+		peakHeap("runtime.peak_heap_MB", w),
 		{name: "trace.overhead_frac", value: 1 - ratio(tracedOps, plainOps), unit: "ratio",
 			note: fmt.Sprintf("ops/s untraced %.2f, traced %.2f; probe errors %v %v", plainOps, tracedOps, lp.errors, lp.firstErr)},
 	}
