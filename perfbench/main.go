@@ -167,10 +167,10 @@ func execute(cfg config) (*outcome, error) {
 	}
 	setup := metric{name: "setup_s", value: median(setups), unit: "s", note: fmt.Sprintf("median of %d set-ups", len(setups))}
 
-	var main, plain windowResult
+	var measured, plain windowResult
 	var lp *layerProbes
 	if !cfg.trace {
-		main = b.window(window, false)
+		measured = b.window(window, false)
 	} else {
 		// Untraced and traced halves on the same cluster: the traced half
 		// gives the per-layer numbers, the difference is the overhead.
@@ -180,7 +180,7 @@ func execute(cfg config) (*outcome, error) {
 			b.close()
 			return nil, err
 		}
-		main = b.window(window/2, true)
+		measured = b.window(window/2, true)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -195,19 +195,19 @@ func execute(cfg config) (*outcome, error) {
 	leaked := goroutinesLeaked(baseGoroutines)
 
 	out := &outcome{
-		correct:   main.rec.failures["mismatch"] == 0 && plain.mismatches() == 0 && (lp == nil || lp.mismatches == 0),
-		attempted: main.rec.attempted,
-		failed:    main.rec.failed,
+		correct:   measured.rec.failures["mismatch"] == 0 && plain.mismatches() == 0 && (lp == nil || lp.mismatches == 0),
+		attempted: measured.rec.attempted,
+		failed:    measured.rec.failed,
 	}
-	e2e := endToEnd(wl, setup, main)
+	e2e := endToEnd(wl, setup, measured)
 	if !cfg.trace {
 		out.json = e2e
-		out.report = append(append(e2e, workloadMetrics(main)...), residueMetrics(res, leaked)...)
+		out.report = append(append(e2e, workloadMetrics(measured)...), residueMetrics(res, leaked)...)
 	} else {
-		layers := perLayer(wl, b, main, plain, lp, res, leaked)
+		layers := perLayer(wl, b, measured, plain, lp, res, leaked)
 		out.json = layers
 		out.report = append(out.report, prefixed("untraced.", append(endToEnd(wl, setup, plain), workloadMetrics(plain)...))...)
-		out.report = append(out.report, prefixed("traced.", append(e2e, workloadMetrics(main)...))...)
+		out.report = append(out.report, prefixed("traced.", append(e2e, workloadMetrics(measured)...))...)
 		out.report = append(out.report, layers...)
 	}
 	if drainErr != nil {
