@@ -22,6 +22,10 @@ import (
 // errMismatch marks an output that arrived but held the wrong bytes.
 var errMismatch = errors.New("output mismatch")
 
+// errNodeDown marks a read that could not start: its node's slot is empty
+// because a restart failed.
+var errNodeDown = errors.New("node down")
+
 // generator is one workload's load generator. step runs one top-level,
 // closed-loop operation for a client; the harness times it, applies the
 // deadline and counts its failure.
@@ -57,13 +61,6 @@ type recorder struct {
 	failed    int
 	failures  map[string]int // by kind: error, timeout, mismatch
 	goodBytes int64          // verified bytes of completed ops
-	ops       []opRecord     // completed ops, for per-slice rates
-}
-
-// opRecord is one completed top-level operation.
-type opRecord struct {
-	start, end time.Time
-	bytes      int64 // verified payload bytes it delivered to readers
 }
 
 func newRecorder() *recorder {
@@ -76,14 +73,14 @@ func (r *recorder) sample(name string, d time.Duration) {
 	r.mu.Unlock()
 }
 
-// done records the outcome of one top-level operation.
-func (r *recorder) done(err error, rec opRecord) {
+// done records the outcome of one top-level operation that delivered
+// bytes of verified payload.
+func (r *recorder) done(err error, bytes int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.attempted++
 	if err == nil {
-		r.goodBytes += rec.bytes
-		r.ops = append(r.ops, rec)
+		r.goodBytes += bytes
 		return
 	}
 	r.failed++
@@ -242,12 +239,20 @@ func (b *bench) cleanup(ctx context.Context) {
 
 // restart replaces killed node i with a fresh one and times its rejoin:
 // from RestartNode to the node's first successful Get of probe, a small
-// object on a node that stays up.
+// object on a node that stays up. A failed RestartNode leaves the slot
+// nil, so it is retried until ctx ends.
 func (b *bench) restart(ctx context.Context, i int, probe hoplite.ObjectID) error {
 	b.cw.retire(b.c.Node(i))
 	t0 := time.Now()
-	if err := b.c.RestartNode(i); err != nil {
-		return err
+	for {
+		err := b.c.RestartNode(i)
+		if err == nil {
+			break
+		}
+		if ctx.Err() != nil {
+			return fmt.Errorf("restart node %d: %w", i, err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	n := b.c.Node(i)
 	for {
@@ -287,7 +292,7 @@ func (b *bench) runOp(client int) {
 	end := time.Now()
 	cancel()
 	b.tr.record(o.id, 0, "op", t0, end)
-	b.rec.done(err, opRecord{start: t0, end: end, bytes: o.bytes})
+	b.rec.done(err, o.bytes)
 	b.reap()
 }
 
@@ -360,18 +365,34 @@ func (o *op) fanout(nodes []*core.Node, oid hoplite.ObjectID, skip int) []fetch 
 	t0 := time.Now()
 	futs := make([]*hoplite.RefFuture, len(nodes))
 	for i, n := range nodes {
-		futs[i] = n.GetRefAsync(o.ctx, oid)
+		futs[i] = getRefAsync(o.ctx, n, oid)
 	}
 	return o.await(futs, t0, skip)
 }
 
-// await collects futs as they resolve; see fanout.
+// getRefAsync starts a GetRef of oid on n; a nil n (a node whose restart
+// failed) gives a nil future, which await reports as errNodeDown.
+func getRefAsync(ctx context.Context, n *core.Node, oid hoplite.ObjectID) *hoplite.RefFuture {
+	if n == nil {
+		return nil
+	}
+	return n.GetRefAsync(ctx, oid)
+}
+
+// await collects futs as they resolve; see fanout. A nil future fails at
+// once with errNodeDown.
 func (o *op) await(futs []*hoplite.RefFuture, t0 time.Time, skip int) []fetch {
 	out := make([]fetch, len(futs))
 	cases := make([]reflect.SelectCase, len(futs)+1)
 	pending := 0
 	for i, f := range futs {
 		cases[i].Dir = reflect.SelectRecv // a zero Chan is never selected
+		if f == nil {
+			if i != skip {
+				out[i] = fetch{err: errNodeDown, at: time.Now()}
+			}
+			continue
+		}
 		if i == skip {
 			o.b.orphan(f)
 			continue

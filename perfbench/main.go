@@ -66,17 +66,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&cfg.seed, "seed", 1, "seed for every generated input")
 	fs.Float64Var(&cfg.seconds, "seconds", 10, "measured window in seconds")
 	fs.IntVar(&trace, "trace", 0, "1 reports per-layer metrics from a traced window")
-	fs.IntVar(&cfg.setups, "setups", 0, "cluster set-ups per run (0: adaptive); setup_s is their median")
 	fs.StringVar(&cfg.workdir, "workdir", ".bench_build/run", "scratch directory (spill files), removed at exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if (workloads[cfg.workload] == nil && cfg.workload != "all") || cfg.seconds <= 0 || cfg.setups < 0 || (trace != 0 && trace != 1) {
-		fmt.Fprintf(stderr, "perfbench: need --workload (%s or all), --seconds > 0, --setups >= 0 and --trace 0|1\n",
+	if (workloads[cfg.workload] == nil && cfg.workload != "all") || cfg.seconds <= 0 || (trace != 0 && trace != 1) {
+		fmt.Fprintf(stderr, "perfbench: need --workload (%s or all), --seconds > 0 and --trace 0|1\n",
 			strings.Join(workloadNames(), ", "))
 		return 2
 	}
 	cfg.trace = trace == 1
+	cfg.setups = setupRuns
 	defer os.RemoveAll(cfg.workdir)
 	if cfg.workload != "all" {
 		return runOne(cfg, stdout, stderr)
@@ -123,34 +123,21 @@ func workloadNames() []string {
 	return names
 }
 
-// Adaptive set-up repetition: at least minSetups, then more while their
-// total stays under setupBudget, so a cheap set-up is sampled more often.
-const (
-	minSetups   = 3
-	maxSetups   = 9
-	setupBudget = 3 * time.Second
-)
+// setupRuns is how many times a run boots its cluster; setup_s is the
+// median of their times.
+const setupRuns = 3
 
-// moreSetups reports whether another set-up should run after done of them
-// took total; exact > 0 fixes the count.
-func moreSetups(done int, total time.Duration, exact int) bool {
-	if exact > 0 {
-		return done < exact
-	}
-	return done < minSetups || (done < maxSetups && total < setupBudget)
-}
-
-// execute boots the cluster several times (keeping the last), runs the
-// measured window(s), drains, and checks residue.
+// execute boots the cluster cfg.setups times (keeping the last), runs the
+// measured window(s), drains, runs the probes that change node state, and
+// checks residue.
 func execute(cfg config) (*outcome, error) {
 	wl := workloads[cfg.workload]
 	baseGoroutines := runtime.NumGoroutine()
 	window := time.Duration(cfg.seconds * float64(time.Second))
 
 	var setups []float64
-	var total time.Duration
 	var b *bench
-	for i := 0; b == nil || moreSetups(i, total, cfg.setups); i++ {
+	for i := 0; i < cfg.setups; i++ {
 		if b != nil {
 			b.close()
 		}
@@ -160,9 +147,7 @@ func execute(cfg config) (*outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := time.Since(t0)
-		total += d
-		setups = append(setups, d.Seconds())
+		setups = append(setups, time.Since(t0).Seconds())
 		b = nb
 	}
 	setup := metric{name: "setup_s", value: median(setups), unit: "s", note: fmt.Sprintf("median of %d set-ups", len(setups))}
@@ -183,13 +168,16 @@ func execute(cfg config) (*outcome, error) {
 		measured = b.window(window/2, true)
 	}
 
+	if lp != nil {
+		lp.halt()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	b.cleanup(ctx)
+	drainErr := b.gen.drain(ctx)
 	if lp != nil {
 		lp.afterWindow(ctx)
 	}
-	b.cleanup(ctx)
-	drainErr := b.gen.drain(ctx)
 	res := b.residue(ctx)
 	b.close()
 	leaked := goroutinesLeaked(baseGoroutines)

@@ -17,19 +17,20 @@ func tailNote(s summary) string {
 }
 
 // endToEnd returns the metrics a user of the system sees; every workload
-// reports all of them. op_ms is the latency of the workload's defining
-// operation (workload.primary); its tail is in workloadMetrics.
+// reports all of them. The rates divide what completed ops delivered by
+// the whole window, so time lost to a failed or stalled op lowers them.
+// op_ms is the latency of the workload's defining operation
+// (workload.primary); its tail is in workloadMetrics.
 func endToEnd(wl *workload, setup metric, w windowResult) []metric {
 	secs := w.elapsed.Seconds()
+	completed := w.rec.attempted - w.rec.failed
 	op := summarize(w.rec.samples[wl.primary])
-	opRates := sliceRates(w.rec.ops, w.start, w.elapsed, rateSlices, func(opRecord) float64 { return 1 })
-	byteRates := sliceRates(w.rec.ops, w.start, w.elapsed, rateSlices, func(o opRecord) float64 { return float64(o.bytes) / 1e6 })
 	return []metric{
 		setup,
-		{name: "ops_per_s", unit: "1/s", value: median(opRates),
-			note: fmt.Sprintf("median slice of %.4g; %d ops in %.2fs", opRates, len(w.rec.ops), secs)},
-		{name: "goodput_MBps", unit: "MB/s", value: median(byteRates),
-			note: fmt.Sprintf("verified payload bytes, median slice of %.4g", byteRates)},
+		{name: "ops_per_s", unit: "1/s", value: float64(completed) / secs,
+			note: fmt.Sprintf("%d completed ops in %.2fs", completed, secs)},
+		{name: "goodput_MBps", unit: "MB/s", value: float64(w.rec.goodBytes) / 1e6 / secs,
+			note: "verified payload bytes of completed ops"},
 		{name: "op_ms_p50", value: op.P50, unit: "ms", note: wl.primary + "_ms " + p50Note(op)},
 	}
 }

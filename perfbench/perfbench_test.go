@@ -1,13 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"sort"
 	"testing"
 	"time"
 
+	"hoplite"
 	"hoplite/internal/core"
 )
 
@@ -185,32 +189,35 @@ func TestWorkloadSmoke(t *testing.T) {
 	}
 }
 
-func TestSliceRates(t *testing.T) {
-	base := time.Unix(0, 0)
-	at := func(msec int) time.Time { return base.Add(time.Duration(msec) * time.Millisecond) }
-	// One closed-loop client: 400 ms ops back to back over 2 s, so every
-	// 1 s slice holds 2.5 ops; one op straddles the border.
-	var ops []opRecord
-	for s := 0; s+400 <= 2000; s += 400 {
-		ops = append(ops, opRecord{start: at(s), end: at(s + 400), bytes: 1000})
-	}
-	one := func(opRecord) float64 { return 1 }
-	for _, r := range sliceRates(ops, base, 2*time.Second, 2, one) {
-		if math.Abs(r-2.5) > 1e-9 {
-			t.Fatalf("slice rate = %g ops/s, want 2.5", r)
+// TestNilNodeSlot covers a node whose RestartNode failed, leaving its
+// cluster slot nil: it is never picked as a victim, and a broadcast round
+// that reaches it fails as a counted error instead of panicking.
+func TestNilNodeSlot(t *testing.T) {
+	up := new(core.Node)
+	nodes := []*core.Node{up, nil, up, nil, up}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		if v := pickVictim(rng, nodes); v != 2 && v != 4 {
+			t.Fatalf("pickVictim picked %d, want a live receiver (2 or 4)", v)
 		}
 	}
-	bytes := func(o opRecord) float64 { return float64(o.bytes) }
-	for _, r := range sliceRates(ops, base, 2*time.Second, 2, bytes) {
-		if math.Abs(r-2500) > 1e-6 {
-			t.Fatalf("slice rate(bytes) = %g, want 2500", r)
-		}
+	if v := pickVictim(rng, []*core.Node{up, nil, nil}); v != -1 {
+		t.Fatalf("pickVictim with no live receiver = %d, want -1", v)
 	}
-	// A stall in one of three slices does not move the median.
-	stalled := []opRecord{{start: at(0), end: at(500)}, {start: at(500), end: at(1000)},
-		{start: at(1000), end: at(2000)}, {start: at(2000), end: at(2500)}, {start: at(2500), end: at(3000)}}
-	rates := sliceRates(stalled, base, 3*time.Second, 3, one)
-	if m := median(rates); math.Abs(m-2) > 1e-9 || math.Abs(rates[1]-1) > 1e-9 {
-		t.Fatalf("slice rates with a stalled slice = %v, want [2 1 2]", rates)
+
+	o := &op{ctx: context.Background(), b: &bench{}}
+	oid := hoplite.ObjectIDFromString("nil-slot")
+	futs := []*hoplite.RefFuture{getRefAsync(o.ctx, nil, oid), getRefAsync(o.ctx, nil, oid)}
+	fs := o.await(futs, time.Now(), 1) // receiver 1 is this round's victim
+	if !errors.Is(fs[0].err, errNodeDown) || fs[1].err != nil {
+		t.Fatalf("await over nil slots = %+v; want errNodeDown for receiver 0 only", fs)
+	}
+	if _, err := o.check(fs, []byte("x"), 1); !errors.Is(err, errNodeDown) {
+		t.Fatalf("check = %v, want errNodeDown", err)
+	}
+	r := newRecorder()
+	r.done(errNodeDown, 0)
+	if r.attempted != 1 || r.failed != 1 || r.failures["error"] != 1 {
+		t.Fatalf("recorder after a nil-slot failure = %+v", r)
 	}
 }

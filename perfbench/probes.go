@@ -20,7 +20,7 @@ import (
 
 const (
 	probeEvery   = 25 * time.Millisecond
-	afterProbes  = 10 // pulls and reduces after the traced window
+	afterProbes  = 10 // store creates, pulls and reduces after the traced window
 	probeTimeout = 2 * time.Second
 	echoSize     = 64
 	streamSize   = 4 << 20
@@ -148,10 +148,12 @@ func (p *fabricProbe) close() {
 }
 
 // layerProbes time single calls into the layers below core. Probes that
-// touch no node counter (fabric echo, a directory lookup through the
-// probe's own client, a store create) run at a low rate during the traced
-// window; probes that move data through the nodes (transport pulls,
-// reduces) run after it, so they never enter the window's counters.
+// change no node state (the fabric echo, a directory lookup through the
+// probe's own client) run at a low rate during the traced window; probes
+// that allocate or move data on the nodes (store creates, transport pulls,
+// reduces, a rejoin) run after the window and the drain, on the idle
+// cluster, so they neither enter the window's counters nor displace the
+// workload's objects.
 type layerProbes struct {
 	b     *bench
 	fp    *fabricProbe
@@ -223,16 +225,12 @@ func (lp *layerProbes) loop() {
 		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		var err error
 		name := "rtt"
-		switch {
-		case k%2 == 0:
+		if k%2 == 0 {
 			err = lp.time(&lp.rtt, func() error { _, e := lp.fp.rtt(); return e })
-		case k%4 == 1:
+		} else {
 			name = "lookup"
 			lp.dir.InstallMap(lp.b.live().Directory().Map()) // follow restarts and failovers
 			err = lp.time(&lp.lookup, func() error { _, e := lp.dir.Lookup(ctx, lp.obj, false); return e })
-		default:
-			name = "store-create"
-			err = lp.time(&lp.create, lp.storeCreate)
 		}
 		cancel()
 		lp.count(name, err)
@@ -253,15 +251,19 @@ func (lp *layerProbes) count(probe string, err error) {
 	lp.mu.Unlock()
 }
 
-// afterWindow stops the probe loop, then runs the data-moving probes on
-// the now idle cluster, once the window's counters are read: pulls of the
-// resident object, reduces, and on a workload with no restart in the
-// window one kill and rejoin. It then takes the second stream
-// sample and releases the probes' objects and endpoints.
-func (lp *layerProbes) afterWindow(ctx context.Context) {
+// halt stops the in-window probe loop.
+func (lp *layerProbes) halt() {
 	close(lp.stop)
 	<-lp.done
 	lp.dir.Close()
+}
+
+// afterWindow runs the probes that change node state on the idle cluster,
+// once the window's counters are read and the workload drained: store
+// creates, pulls of the resident object, reduces, and on a workload with no
+// restart in the window one kill and rejoin. It then takes the second
+// stream sample and releases the probes' objects and endpoints.
+func (lp *layerProbes) afterWindow(ctx context.Context) {
 	b := lp.b
 	probe := func(name string, fn func(context.Context) error) {
 		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
@@ -269,6 +271,7 @@ func (lp *layerProbes) afterWindow(ctx context.Context) {
 		lp.count(name, fn(pctx))
 	}
 	for k := 0; k < afterProbes; k++ {
+		probe("store-create", func(context.Context) error { return lp.time(&lp.create, lp.storeCreate) })
 		probe("pull", lp.pullOnce)
 		probe("reduce-local", func(ctx context.Context) error { return lp.reduceOnce(ctx, k, true) })
 		if !b.wl.reduces {

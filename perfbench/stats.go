@@ -99,46 +99,3 @@ func ratio(num, den float64) float64 {
 	}
 	return num / den
 }
-
-// rateSlices is how many equal slices a window's throughput is split
-// into; the median slice rate is reported, so one stalled slice moves it
-// less than it moves a whole-window mean.
-const rateSlices = 5
-
-// sliceRates splits [start, start+span) into n equal slices and returns
-// each slice's weight per second. Each op's weight is spread over the
-// slices in proportion to how much of its run time falls in each, so slow
-// ops that straddle slice borders do not quantise the rate.
-func sliceRates(ops []opRecord, start time.Time, span time.Duration, n int, weight func(opRecord) float64) []float64 {
-	if n < 1 || span <= 0 {
-		return nil
-	}
-	width := span / time.Duration(n)
-	sums := make([]float64, n)
-	for _, o := range ops {
-		d := o.end.Sub(o.start)
-		w := weight(o)
-		if d <= 0 {
-			if i := int(o.end.Sub(start) / width); i >= 0 && i < n {
-				sums[i] += w
-			}
-			continue
-		}
-		for i := range sums {
-			a, b := start.Add(time.Duration(i)*width), start.Add(time.Duration(i+1)*width)
-			if o.start.After(a) {
-				a = o.start
-			}
-			if o.end.Before(b) {
-				b = o.end
-			}
-			if b.After(a) {
-				sums[i] += w * float64(b.Sub(a)) / float64(d)
-			}
-		}
-	}
-	for i := range sums {
-		sums[i] /= width.Seconds()
-	}
-	return sums
-}

@@ -47,7 +47,10 @@ var workloads = map[string]*workload{
 	},
 	"bcast-fault": {
 		name: "bcast-fault", nodes: 8, clients: 1,
-		deadline: 5 * time.Second,
+		// About five times a fault round (Put, Gets, Delete, restart and
+		// rejoin take ~200 ms), so a survivor Get that stalls costs the
+		// window one second, not five.
+		deadline: time.Second,
 		newGen:   func(b *bench) generator { return &bcastFault{b: b, rng: rand.New(rand.NewSource(b.seed))} },
 		primary:  "fault_bcast",
 	},
@@ -413,9 +416,24 @@ func (d *bcastFault) warm(ctx context.Context) error {
 func (d *bcastFault) step(o *op, _ int) error {
 	victim := -1
 	if d.round%2 == 1 {
-		victim = 1 + d.rng.Intn(d.b.wl.nodes-1)
+		victim = pickVictim(d.rng, d.b.c.Nodes())
 	}
 	return d.broadcast(o, victim)
+}
+
+// pickVictim returns a seeded receiver (any node but 0) that is up, or -1
+// when every receiver's slot is empty.
+func pickVictim(rng *rand.Rand, nodes []*core.Node) int {
+	var up []int
+	for i, n := range nodes[1:] {
+		if n != nil {
+			up = append(up, i+1)
+		}
+	}
+	if len(up) == 0 {
+		return -1
+	}
+	return up[rng.Intn(len(up))]
 }
 
 // broadcast runs one round; victim < 0 is a clean round.
@@ -436,7 +454,7 @@ func (d *bcastFault) broadcast(o *op, victim int) error {
 	tg := time.Now()
 	futs := make([]*hoplite.RefFuture, len(receivers))
 	for i, n := range receivers {
-		futs[i] = n.GetRefAsync(o.ctx, oid)
+		futs[i] = getRefAsync(o.ctx, n, oid)
 	}
 	if victim > 0 {
 		time.Sleep(time.Until(tg.Add(killAfter)))
