@@ -5,7 +5,7 @@
 // object holding the end-to-end metrics (untraced run) or the per-layer
 // metrics (traced run).
 //
-//	bash perfbench/run.sh --workload collective --seed 1 --seconds 15 --trace 0
+//	bash perfbench/run.sh --workload collective --seed 1 --seconds 30 --trace 0
 //
 // --workload all runs every workload untraced and then traced, printing
 // each run's report and result line.
