@@ -212,15 +212,16 @@ func TestClusterCloseIdempotent(t *testing.T) {
 }
 
 // TestStandaloneNodesOverTCP wires nodes manually (the hoplited
-// deployment path: one shard host plus workers joining by address).
+// deployment path: a head node founding a one-member cluster plus workers
+// joining by address).
 func TestStandaloneNodesOverTCP(t *testing.T) {
 	ctx := testCtx(t)
-	head, err := NewNode(Config{Fabric: tcpFabric(), HostShard: true})
+	head, err := NewNode(Config{Fabric: tcpFabric()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer head.Close()
-	worker, err := NewNode(Config{Fabric: tcpFabric(), DirectoryShards: []string{head.Addr()}})
+	worker, err := NewNode(Config{Fabric: tcpFabric(), JoinAddrs: []string{head.Addr()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,32 +1,31 @@
-// Command hoplited runs one standalone Hoplite object-store node over
-// plain TCP — the production deployment mode. Every node of a cluster
-// runs hoplited; the first -shards entries name the nodes hosting
-// directory shards (which must be started with -host-shard).
+// Command hoplited runs one Hoplite object-store node over plain TCP — the
+// production deployment mode. Every node of a cluster runs hoplited and
+// boots from the epoch-versioned cluster map: with no topology flag the
+// daemon founds a single-node cluster hosting the only directory shard,
+// -bootstrap founds a cluster of several shard hosts, and -join admits the
+// daemon into a running cluster through any live member.
 //
-//	# head node (hosts the only directory shard)
-//	hoplited -listen 10.0.0.1:7077 -host-shard
+// -listen must be the address peers dial: a node's ID is its listen
+// address, and the cluster map names members by it.
+//
+//	# head node (founds the cluster, hosts the only directory shard)
+//	hoplited -listen 10.0.0.1:7077
 //
 //	# worker nodes
-//	hoplited -listen 10.0.0.2:7077 -shards 10.0.0.1:7077
-//	hoplited -listen 10.0.0.3:7077 -shards 10.0.0.1:7077
+//	hoplited -listen 10.0.0.2:7077 -join 10.0.0.1:7077
+//	hoplited -listen 10.0.0.3:7077 -join 10.0.0.1:7077
 //
-//	# replicated directory: 3 shard hosts, each shard on 2 of them in
-//	# succession order; every daemon gets identical -shards/-replication
-//	hoplited -listen 10.0.0.1:7077 -shards 10.0.0.1:7077,10.0.0.2:7077,10.0.0.3:7077 -replication 2
-//	hoplited -listen 10.0.0.2:7077 -shards 10.0.0.1:7077,10.0.0.2:7077,10.0.0.3:7077 -replication 2
-//	hoplited -listen 10.0.0.3:7077 -shards 10.0.0.1:7077,10.0.0.2:7077,10.0.0.3:7077 -replication 2
-//	hoplited -listen 10.0.0.4:7077 -shards 10.0.0.1:7077,10.0.0.2:7077,10.0.0.3:7077 -replication 2  # worker
-//
-//	# elastic membership: three founding shard hosts boot with identical
-//	# -bootstrap lists; later nodes join (and leave) a running cluster
+//	# replicated directory: three founding shard hosts boot with identical
+//	# -bootstrap lists (each shard on 2 of them in succession order);
+//	# later nodes join (and leave) the running cluster
 //	hoplited -listen 10.0.0.1:7077 -bootstrap 10.0.0.1:7077,10.0.0.2:7077,10.0.0.3:7077 -replication 2
 //	hoplited -listen 10.0.0.2:7077 -bootstrap 10.0.0.1:7077,10.0.0.2:7077,10.0.0.3:7077 -replication 2
 //	hoplited -listen 10.0.0.3:7077 -bootstrap 10.0.0.1:7077,10.0.0.2:7077,10.0.0.3:7077 -replication 2
 //	hoplited -listen 10.0.0.4:7077 -join 10.0.0.1:7077          # scale-out
-//	hoplite-cli -shards 10.0.0.1:7077 drain 10.0.0.4:7077       # scale-in
+//	hoplite-cli -seeds 10.0.0.1:7077 drain 10.0.0.4:7077        # scale-in
 //
 //	# bounded memory with a disk spill tier (out-of-core working sets)
-//	hoplited -listen 10.0.0.2:7077 -shards 10.0.0.1:7077 \
+//	hoplited -listen 10.0.0.2:7077 -join 10.0.0.1:7077 \
 //	    -memory-limit 8589934592 -spill-dir /data/hoplite-spill
 //
 // With -memory-limit, Put/Create apply admission backpressure instead of
@@ -54,25 +53,21 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on (control + data plane)")
-	shards := flag.String("shards", "", "comma-separated directory shard addresses (defaults to this node when -host-shard)")
-	hostShard := flag.Bool("host-shard", false, "host a directory shard on this node")
-	replication := flag.Int("replication", 1, "directory shard replication factor R: shard i is replicated on shards[i..i+R-1 mod n]; every daemon must be started with identical -shards and -replication values")
+	replication := flag.Int("replication", 1, "with -bootstrap: directory shard replication factor R; shard i is replicated on the founding members i..i+R-1 (mod n)")
 	capacity := flag.Int64("capacity", 0, "legacy store capacity in bytes (0 = unlimited); prefer -memory-limit")
 	memLimit := flag.Int64("memory-limit", 0, "in-memory store budget in bytes with admission backpressure (0 = unlimited)")
 	spillDir := flag.String("spill-dir", "", "directory for the disk spill tier (empty = spill disabled); rescanned on restart")
 	spillHigh := flag.Float64("spill-high", 0, "demotion high watermark as a fraction of -memory-limit (default 0.90)")
 	spillLow := flag.Float64("spill-low", 0, "demotion low watermark as a fraction of -memory-limit (default 0.70)")
-	small := flag.Int64("small-object", 0, "legacy name for -inline-threshold")
 	inline := flag.Int64("inline-threshold", 0, "small-object inline threshold in bytes (default 64 KiB, negative disables)")
 	batchDelay := flag.Duration("batch-delay", 0, "control-plane write-coalescing window (0 = opportunistic, negative disables batching)")
 	batchBytes := flag.Int("batch-bytes", 0, "flush a batching window early at this many queued bytes (0 = default 256 KiB)")
 	locCache := flag.Int("loc-cache", 0, "location cache entries per node (0 = default 4096, negative disables)")
-	bootstrap := flag.String("bootstrap", "", "comma-separated founding member addresses: enables epoch-versioned membership with every listed node an active shard host; all founding daemons must be given the identical list")
-	join := flag.String("join", "", "comma-separated seed addresses of a running membership-enabled cluster to join at startup (elastic scale-out)")
+	bootstrap := flag.String("bootstrap", "", "comma-separated founding member addresses, every one an active shard host; all founding daemons must be given the identical list (default: found a single-node cluster)")
+	join := flag.String("join", "", "comma-separated seed addresses of a running cluster to join at startup (elastic scale-out)")
 	storageOnly := flag.Bool("storage-only", false, "with -join: join as a pure storage member, never hosting directory shard replicas")
 	objectRepl := flag.Int("object-replication", 1, "with -bootstrap: object replication target the repair scanner restores after drains and declared node losses")
-	repairEvery := flag.Duration("repair-interval", 0, "re-replication scanner period (0 = default 250ms, negative disables); membership clusters only")
-	planner := flag.String("planner", "", "transfer planner: link (default) plans striped Gets and reduce trees from measured link state; static reproduces the equal-links behavior")
+	repairEvery := flag.Duration("repair-interval", 0, "re-replication scanner period (0 = default 250ms, negative disables)")
 	schedClasses := flag.Int("sched-classes", 0, "egress scheduler classes: 2 (default) isolates latency-sensitive small pulls from bulk transfers, 1 disables scheduling")
 	bulkCutoff := flag.Int64("bulk-cutoff", 0, "pull span in bytes at or above which a pull is classed as bulk by the egress scheduler (0 = default 1 MiB)")
 	linkHalfLife := flag.Duration("link-half-life", 0, "decay half-life for measured link estimates on quiet links (0 = default 10s)")
@@ -83,31 +78,10 @@ func main() {
 		log.Fatal("hoplited: -spill-dir requires -memory-limit (or -capacity): with an unbounded store nothing is ever demoted")
 	}
 
-	var shardList []string
-	if *shards != "" {
-		for _, s := range strings.Split(*shards, ",") {
-			shardList = append(shardList, strings.TrimSpace(s))
-		}
-	}
-	// With -replication > 1 the flat shard list is expanded into replica
-	// groups (hoplite.ReplicaGroups — the same derivation on every
-	// member). Every daemon — shard hosts and plain workers — must be
-	// given identical -shards/-replication values so they derive the same
-	// topology; a daemon hosts a replica iff its listen address appears
-	// in a group.
-	// In membership mode (-bootstrap/-join) the replication factor rides
-	// the cluster map instead of a static topology.
-	var topology [][]string
-	if *replication > 1 && *bootstrap == "" && *join == "" {
-		if len(shardList) == 0 {
-			log.Fatal("hoplited: -replication requires -shards")
-		}
-		topology = hoplite.ReplicaGroups(shardList, *replication)
-	}
-	// Membership mode: -bootstrap builds the founding epoch-1 cluster map
-	// (identical on every founding daemon); -join asks a running cluster's
-	// membership shard to admit this node. Both make the static topology
-	// flags irrelevant.
+	// -bootstrap builds the founding epoch-1 cluster map (identical on
+	// every founding daemon); -join asks a running cluster's membership
+	// shard to admit this node; with neither the node founds a
+	// single-node cluster of its own.
 	var initialMap *types.ClusterMap
 	var joinAddrs []string
 	switch {
@@ -162,9 +136,6 @@ func main() {
 	node, err := hoplite.NewNode(hoplite.Config{
 		Fabric:            fab,
 		Listener:          ln,
-		HostShard:         *hostShard,
-		DirectoryShards:   shardList,
-		DirectoryTopology: topology,
 		InitialMap:        initialMap,
 		JoinAddrs:         joinAddrs,
 		JoinStorageOnly:   *storageOnly,
@@ -174,12 +145,10 @@ func main() {
 		SpillDir:          *spillDir,
 		SpillHighWater:    *spillHigh,
 		SpillLowWater:     *spillLow,
-		SmallObject:       *small,
 		InlineThreshold:   *inline,
 		MaxBatchDelay:     *batchDelay,
 		MaxBatchBytes:     *batchBytes,
 		LocationCacheSize: *locCache,
-		Planner:           *planner,
 		SchedClasses:      *schedClasses,
 		BulkCutoff:        *bulkCutoff,
 		LinkHalfLife:      *linkHalfLife,
@@ -188,11 +157,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("start node: %v", err)
 	}
-	if cm := node.ClusterMap(); cm.Epoch > 0 {
-		fmt.Printf("hoplited: node %s up (membership epoch %d, %d members)\n", node.Addr(), cm.Epoch, len(cm.Members))
-	} else {
-		fmt.Printf("hoplited: node %s up (shard host: %v)\n", node.Addr(), *hostShard)
-	}
+	cm := node.ClusterMap()
+	fmt.Printf("hoplited: node %s up (membership epoch %d, %d members)\n", node.Addr(), cm.Epoch, len(cm.Members))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -50,7 +50,7 @@ type (
 	// Put, Create, Get, GetRef, GetAsync, GetAll, Reduce, ReduceAsync,
 	// Delete.
 	Node = core.Node
-	// Config configures a standalone Node.
+	// Config configures a Node started on its own (see NewNode).
 	Config = core.Config
 	// ObjectRef is a ref-counted, pinned, zero-copy read-only view of an
 	// object, returned by Node.GetRef / Node.GetRefAsync. Release it.
@@ -65,8 +65,8 @@ type (
 	BytesFuture = core.Future[[]byte]
 	// ReduceFuture resolves to the sources used (Node.ReduceAsync).
 	ReduceFuture = core.Future[[]types.ObjectID]
-	// ClusterMap is the epoch-versioned membership map of an elastic
-	// cluster (hoplited -bootstrap/-join); see FetchClusterMap.
+	// ClusterMap is the epoch-versioned membership map every node boots
+	// from; see FetchClusterMap.
 	ClusterMap = types.ClusterMap
 )
 
@@ -99,44 +99,17 @@ func RandomObjectID() ObjectID { return types.RandomObjectID() }
 // over arrays of 32-bit floats.
 var SumF32 = ReduceOp{Kind: types.Sum, DType: types.F32}
 
-// NewNode starts a standalone node (production mode). See core.Config.
+// NewNode starts a node on its own (production mode): it joins the
+// cluster at cfg.JoinAddrs, boots from cfg.InitialMap, or founds a
+// one-member cluster. See core.Config.
 func NewNode(cfg Config) (*Node, error) { return core.NewNode(cfg) }
 
 // FetchClusterMap asks each seed address in turn for the cluster map of
-// a running membership-enabled cluster (hoplited -bootstrap/-join).
-// Ephemeral clients use it before NewNode to derive the true shard
-// topology from one seed instead of restating the founding list; pass
-// the result as Config.InitialMap. Fails if the cluster runs a static
-// topology.
+// a running cluster. Ephemeral clients use it before NewNode to derive the
+// true shard topology from one seed instead of restating the founding
+// list; pass the result as Config.InitialMap.
 func FetchClusterMap(ctx context.Context, fab netem.Fabric, seeds []string) (ClusterMap, error) {
 	return core.FetchClusterMap(ctx, fab, seeds)
-}
-
-// ReplicaGroups derives the directory replica topology from an ordered
-// shard list: group i is shards[i .. i+r-1 mod n] in succession order,
-// with r clamped to [1, len(shards)]. Every member of a cluster —
-// daemons, workers, CLI clients — must derive its topology from the
-// identical list and factor, so this one helper is the only place the
-// wrap-around rule lives.
-func ReplicaGroups(shards []string, r int) [][]string {
-	if len(shards) == 0 {
-		return nil
-	}
-	if r < 1 {
-		r = 1
-	}
-	if r > len(shards) {
-		r = len(shards)
-	}
-	groups := make([][]string, len(shards))
-	for i := range groups {
-		group := make([]string, 0, r)
-		for j := 0; j < r; j++ {
-			group = append(group, shards[(i+j)%len(shards)])
-		}
-		groups[i] = group
-	}
-	return groups
 }
 
 // Options configures a local cluster.
@@ -149,9 +122,6 @@ type Options struct {
 	// objects below it ride inline in directory replies, making a cold
 	// Get of one exactly one RPC. 0 = default (64 KB), negative disables.
 	InlineThreshold int64
-	// SmallObject is the legacy name for InlineThreshold; consulted only
-	// when InlineThreshold is zero.
-	SmallObject int64
 	// MaxBatchDelay is the control-plane write-coalescing window: zero
 	// batches opportunistically (no added latency), positive trades
 	// latency for larger batches, negative disables batching.
@@ -229,11 +199,6 @@ type Options struct {
 	// LinkHalfLife is the decay half-life for measured link estimates on
 	// quiet links (0 = default 10s).
 	LinkHalfLife time.Duration
-	// Planner selects the transfer planner: "link" (default) ranks
-	// striped-Get senders, sizes their claim spans, and shapes the reduce
-	// tree from measured link state; "static" reproduces the legacy
-	// equal-links behavior exactly.
-	Planner string
 	// SchedClasses configures each node's egress scheduler: 2 (default)
 	// separates latency-sensitive small pulls from bulk transfers under
 	// byte-deficit weighted-fair sharing; 1 disables scheduling.
@@ -265,7 +230,7 @@ func (o Options) localityFor(i int) string {
 // coreConfig translates the cluster options into one node's core.Config.
 // Every node construction — initial boot and restart — goes through this
 // single helper so a new knob cannot be silently dropped from one path.
-func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topology [][]string, initialMap *types.ClusterMap, locality string) core.Config {
+func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, initialMap *types.ClusterMap, locality string) core.Config {
 	spillDir := ""
 	if o.SpillDir != "" {
 		// One subdirectory per node: in-process cluster nodes must not
@@ -277,11 +242,9 @@ func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topo
 		Fabric:            fab,
 		Name:              name,
 		Listener:          ln,
-		DirectoryTopology: topology,
 		InitialMap:        initialMap,
 		RepairInterval:    o.RepairInterval,
 		InlineThreshold:   o.InlineThreshold,
-		SmallObject:       o.SmallObject,
 		MaxBatchDelay:     o.MaxBatchDelay,
 		MaxBatchBytes:     o.MaxBatchBytes,
 		LocationCacheSize: o.LocationCacheSize,
@@ -297,7 +260,6 @@ func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topo
 		Latency:           o.Latency,
 		Bandwidth:         o.Bandwidth,
 		LinkHalfLife:      o.LinkHalfLife,
-		Planner:           o.Planner,
 		SchedClasses:      o.SchedClasses,
 		SchedQuantum:      o.SchedQuantum,
 		BulkCutoff:        o.BulkCutoff,
@@ -309,13 +271,12 @@ func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topo
 // Cluster is a set of in-process Hoplite nodes sharing a fabric and a
 // sharded, replicated directory.
 type Cluster struct {
-	fab      netem.Fabric
-	em       *netem.Emulated
-	opts     Options
-	addrs    []string         // every node's (stable) listen address
-	topology [][]string       // directory shard replica groups at boot
-	bootMap  types.ClusterMap // epoch-1 membership map the cluster booted with
-	nodes    []*core.Node
+	fab     netem.Fabric
+	em      *netem.Emulated
+	opts    Options
+	addrs   []string         // every node's (stable) listen address
+	bootMap types.ClusterMap // epoch-1 membership map the cluster booted with
+	nodes   []*core.Node
 }
 
 // StartLocalCluster boots n nodes on the loopback fabric. Each node hosts
@@ -340,9 +301,9 @@ func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{fab: fab, em: em, opts: opts}
 
-	// Two-phase start: every node must be configured with the full shard
-	// address list, but addresses are assigned at listen time — so
-	// reserve all listeners first, then start the nodes.
+	// Two-phase start: every node boots from a founding map naming every
+	// member, but addresses are assigned at listen time — so reserve all
+	// listeners first, then start the nodes.
 	lns := make([]net.Listener, 0, n)
 	addrs := make([]string, 0, n)
 	shardNodes := opts.ShardNodes
@@ -362,17 +323,14 @@ func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	c.addrs = addrs
-	// Shard i's replica group is the R shard-hosting nodes starting at i,
+	// Every cluster boots with an epoch-1 cluster map. Its derived shard
+	// groups put shard i on the R shard-hosting nodes starting at i,
 	// wrapping: group[0] is the initial primary and the rest the
 	// succession order.
 	r := opts.ReplicationFactor
 	if r == 0 {
 		r = 3
 	}
-	c.topology = ReplicaGroups(addrs[:shardNodes], r)
-	// Every cluster boots with an epoch-1 cluster map whose derived shard
-	// groups equal the static topology above, so membership starts enabled
-	// (AddNode/DrainNode work) without changing the boot layout.
 	objRF := opts.ObjectReplication
 	if objRF < 1 {
 		objRF = 1
@@ -392,7 +350,7 @@ func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 		})
 	}
 	for i := 0; i < n; i++ {
-		node, err := core.NewNode(opts.coreConfig(fab, fmt.Sprintf("node-%d", i), lns[i], c.topology, &c.bootMap, opts.localityFor(i)))
+		node, err := core.NewNode(opts.coreConfig(fab, fmt.Sprintf("node-%d", i), lns[i], &c.bootMap, opts.localityFor(i)))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -442,7 +400,7 @@ func (c *Cluster) AddNode(storageOnly bool) (int, error) {
 	if err != nil {
 		return -1, fmt.Errorf("hoplite: add node %d: %w", i, err)
 	}
-	cfg := c.opts.coreConfig(c.fab, name, ln, nil, nil, c.opts.localityFor(i))
+	cfg := c.opts.coreConfig(c.fab, name, ln, nil, c.opts.localityFor(i))
 	cfg.JoinAddrs = c.liveAddrs()
 	cfg.JoinStorageOnly = storageOnly
 	node, err := core.NewNode(cfg)
@@ -540,12 +498,12 @@ func (c *Cluster) KillNode(i int) error {
 
 // RestartNode replaces a previously killed node with a fresh one under
 // the same fabric name and listen address (a restarted process rejoining,
-// §5.5). Former directory shard hosts are restartable too: the replica
-// topology is a static address list, so the rejoining node comes back as
-// an out-of-sync backup of its shards and is re-synced by each current
-// primary's snapshot push. On failure the node's slot is left empty (nil)
-// and the error returned; the restart can simply be retried — Close and
-// the other cluster methods tolerate the empty slot.
+// §5.5). Former directory shard hosts are restartable too: the restart
+// rejoins through a live seed, so the node comes back as an out-of-sync
+// backup of the shards the current map assigns it and is re-synced by
+// each current primary's snapshot push. On failure the node's slot is
+// left empty (nil) and the error returned; the restart can simply be
+// retried — Close and the other cluster methods tolerate the empty slot.
 func (c *Cluster) RestartNode(i int) error {
 	if c.em == nil {
 		return fmt.Errorf("hoplite: RestartNode requires an emulated fabric")
@@ -567,7 +525,7 @@ func (c *Cluster) RestartNode(i int) error {
 	// replication level. With no live seed (whole-cluster restart), fall
 	// back to booting from the freshest map any slot holds.
 	cm := c.currentMap()
-	cfg := c.opts.coreConfig(c.fab, name, ln, c.topology, &cm, c.opts.localityFor(i))
+	cfg := c.opts.coreConfig(c.fab, name, ln, &cm, c.opts.localityFor(i))
 	if seeds := c.liveAddrs(); len(seeds) > 0 {
 		shardHost := true
 		if mi := cm.MemberIndex(types.NodeID(c.addrs[i])); mi >= 0 {

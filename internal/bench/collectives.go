@@ -25,9 +25,9 @@ type HopliteEnv struct {
 func NewHopliteEnv(sc Scale, n, degree int) (*HopliteEnv, error) {
 	link := sc.Link()
 	c, err := hoplite.StartLocalCluster(n, hoplite.Options{
-		Emulate:      &link,
-		SmallObject:  sc.SmallObject(),
-		ReduceDegree: degree,
+		Emulate:         &link,
+		InlineThreshold: sc.SmallObject(),
+		ReduceDegree:    degree,
 		// Scale the pipelining block with the object sizes: the paper's
 		// 4 MB block assumes ≥32 MB objects; scaled-down objects need a
 		// proportionally finer block or chain pipelining degenerates to

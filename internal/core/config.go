@@ -21,8 +21,6 @@ const (
 	// cold Get of one is a single directory RPC with the payload riding
 	// the Acquire reply.
 	DefaultInlineThreshold = 64 << 10
-	// DefaultSmallObject is the legacy name of DefaultInlineThreshold.
-	DefaultSmallObject = DefaultInlineThreshold
 	// DefaultLocationCacheSize bounds the per-node cache of directory
 	// lookup results (see loccache.go).
 	DefaultLocationCacheSize = 4096
@@ -51,22 +49,8 @@ type Config struct {
 	Name string
 	// Listener, if set, is used instead of opening a new one via the
 	// fabric. Cluster bootstrap pre-creates listeners so every node can
-	// be configured with the full directory shard address list.
+	// boot from a founding map naming every member's address.
 	Listener net.Listener
-	// DirectoryShards lists the control addresses of every directory
-	// shard. Nodes started by a Cluster host one shard each. Required
-	// unless the node hosts the only shard or DirectoryTopology is set.
-	// Legacy single-replica form of DirectoryTopology.
-	DirectoryShards []string
-	// DirectoryTopology lists every directory shard's replica group in
-	// succession order: Topology[i][0] is shard i's initial primary and
-	// the next live replica by index takes over on failure. A node hosts
-	// a replica of every group containing its own address. Takes
-	// precedence over DirectoryShards.
-	DirectoryTopology [][]string
-	// HostShard makes this node host a directory shard on its control
-	// plane.
-	HostShard bool
 	// DirHeartbeatInterval and DirLeaseTimeout tune the directory
 	// replication failure detector: the primary of each hosted shard
 	// heartbeats its backups every interval, and a backup that has not
@@ -75,16 +59,17 @@ type Config struct {
 	DirHeartbeatInterval time.Duration
 	DirLeaseTimeout      time.Duration
 
-	// InitialMap, when set, enables epoch-versioned cluster membership
-	// with this boot map: directory shard replica groups are derived from
-	// it (DirectoryTopology/DirectoryShards are ignored), requests are
+	// InitialMap is the epoch-versioned cluster map the node boots with:
+	// directory shard replica groups are derived from it, requests are
 	// stamped with its epoch, and later joins/drains re-shape the cluster
-	// live. All founding nodes must boot with the identical map.
+	// live. All founding nodes must boot with the identical map. A node
+	// given neither InitialMap nor JoinAddrs founds a cluster of its own:
+	// a one-member map hosting the only directory shard.
 	InitialMap *types.ClusterMap
-	// JoinAddrs lists control addresses of an existing membership-enabled
-	// cluster. When non-empty the node joins at startup: it announces
-	// itself to the membership shard, receives the cluster map, and boots
-	// from it. Takes precedence over every other topology knob.
+	// JoinAddrs lists control addresses of a running cluster. When
+	// non-empty the node joins at startup: it announces itself to the
+	// membership shard, receives the cluster map, and boots from it.
+	// Takes precedence over InitialMap.
 	JoinAddrs []string
 	// JoinStorageOnly joins the node as a pure storage member: it hosts
 	// object bytes but is never assigned a directory shard replica.
@@ -92,8 +77,7 @@ type Config struct {
 	// RepairInterval is the period of the directory re-replication
 	// scanner that restores the map's ObjectRF after permanent node loss
 	// and evacuates sole copies off draining nodes. Zero selects the
-	// directory default (250ms); negative disables the scanner. Only
-	// meaningful with membership enabled.
+	// directory default (250ms); negative disables the scanner.
 	RepairInterval time.Duration
 
 	// InlineThreshold is the inline fast-path threshold in bytes: objects
@@ -101,9 +85,6 @@ type Config struct {
 	// Acquire/Lookup replies, so a cold Get of one is exactly one RPC.
 	// Defaults to DefaultInlineThreshold. Negative disables the fast path.
 	InlineThreshold int64
-	// SmallObject is the legacy name for InlineThreshold; it is consulted
-	// only when InlineThreshold is zero.
-	SmallObject int64
 
 	// MaxBatchDelay is the control-plane write-coalescing window (see
 	// wire.BatchConfig.MaxDelay): zero batches opportunistically with no
@@ -178,11 +159,6 @@ type Config struct {
 	// to estimate unmeasured peers from the locality-domain mean.
 	Locality string
 
-	// Planner selects the transfer planner: "link" (default) ranks striped
-	// senders and shapes reduce trees by measured per-link estimates;
-	// "static" keeps the prior-only equal-split behavior.
-	Planner string
-
 	// SchedClasses configures the data-plane egress scheduler: 2 (default)
 	// enables the weighted-fair latency/bulk scheduler so a saturating
 	// striped Get cannot starve a small Get; 1 disables scheduling.
@@ -207,15 +183,11 @@ type Config struct {
 func (c *Config) withDefaults() Config {
 	cfg := *c
 	if cfg.InlineThreshold == 0 {
-		cfg.InlineThreshold = cfg.SmallObject // legacy alias
-	}
-	if cfg.InlineThreshold == 0 {
 		cfg.InlineThreshold = DefaultInlineThreshold
 	}
 	if cfg.InlineThreshold < 0 {
 		cfg.InlineThreshold = 0
 	}
-	cfg.SmallObject = cfg.InlineThreshold
 	if cfg.LocationCacheSize == 0 {
 		cfg.LocationCacheSize = DefaultLocationCacheSize
 	}
@@ -245,9 +217,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.PingInterval <= 0 {
 		cfg.PingInterval = 20 * time.Millisecond
-	}
-	if cfg.Planner == "" {
-		cfg.Planner = "link"
 	}
 	if cfg.SchedClasses == 0 {
 		cfg.SchedClasses = 2

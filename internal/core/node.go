@@ -29,7 +29,8 @@ const (
 )
 
 // Node is one Hoplite object-store node: local store, directory client,
-// data-plane server, control server, and optionally one directory shard.
+// data-plane server, control server, and the directory server hosting
+// whichever shard replicas the cluster map assigns it.
 type Node struct {
 	cfg  Config
 	name string
@@ -54,12 +55,12 @@ type Node struct {
 	// links accumulates per-peer RTT and bandwidth estimates from the
 	// node's own traffic; plan turns them into transfer decisions.
 	links *linkstate.Tracker
-	plan  planner
+	plan  linkPlanner
 
-	// cmap is the node's view of the epoch-versioned cluster map (Epoch 0
-	// when membership is disabled). encodedMap caches its wire form for
-	// stale-epoch bounce responses; drainMon latches the drain monitor so
-	// it starts at most once per process.
+	// cmap is the node's view of the epoch-versioned cluster map.
+	// encodedMap caches its wire form for stale-epoch bounce responses;
+	// drainMon latches the drain monitor so it starts at most once per
+	// process.
 	cmapMu     sync.Mutex
 	cmap       types.ClusterMap
 	encodedMap []byte
@@ -86,8 +87,9 @@ type execKey struct {
 	slot     int
 }
 
-// NewNode creates and starts a node. If cfg.DirectoryShards is empty and
-// cfg.HostShard is set, the node's own address becomes the only shard.
+// NewNode creates and starts a node. It joins the cluster at
+// cfg.JoinAddrs, boots from cfg.InitialMap, or — given neither — founds a
+// one-member cluster hosting the only directory shard.
 func NewNode(cfg Config) (*Node, error) {
 	c := cfg.withDefaults()
 	if c.Fabric == nil {
@@ -125,11 +127,7 @@ func NewNode(cfg Config) (*Node, error) {
 		PriorBandwidth: c.Bandwidth,
 		HalfLife:       c.LinkHalfLife,
 	})
-	if c.Planner == "static" {
-		n.plan = staticPlanner{latency: c.Latency, bandwidth: c.Bandwidth}
-	} else {
-		n.plan = linkPlanner{links: n.links, latency: c.Latency, bandwidth: c.Bandwidth}
-	}
+	n.plan = linkPlanner{links: n.links, latency: c.Latency, bandwidth: c.Bandwidth}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	if c.SpillDir != "" {
 		sp, err := spill.Open(c.SpillDir)
@@ -158,86 +156,47 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.store = store.NewTiered(tier)
 
-	// Resolve the directory topology: a live join against an existing
-	// cluster, an epoch-versioned boot map, explicit replica groups, the
-	// legacy flat shard list (single-replica groups), or self-hosting the
-	// only shard.
-	var initialMap *types.ClusterMap
+	// Resolve the cluster map: a live join against an existing cluster,
+	// the founding map, or a one-member cluster of this node alone.
+	var cm types.ClusterMap
 	joined := false
 	switch {
 	case len(c.JoinAddrs) > 0:
 		jctx, jcancel := context.WithTimeout(n.ctx, 30*time.Second)
-		cm, err := directory.Join(jctx, n.dialCtrl, c.JoinAddrs, n.id, !c.JoinStorageOnly, c.Locality)
+		var err error
+		cm, err = directory.Join(jctx, n.dialCtrl, c.JoinAddrs, n.id, !c.JoinStorageOnly, c.Locality)
 		jcancel()
 		if err != nil {
 			ln.Close()
 			return nil, fmt.Errorf("core: join cluster: %w", err)
 		}
-		initialMap = &cm
 		joined = true
 	case c.InitialMap != nil:
-		cm := c.InitialMap.Clone()
-		initialMap = &cm
+		cm = c.InitialMap.Clone()
+	default:
+		cm = types.ClusterMap{Epoch: 1, NumShards: 1, DirRF: 1, ObjectRF: 1, Members: []types.Member{
+			{Addr: n.id, State: types.MemberActive, ShardHost: true, Locality: c.Locality},
+		}}
 	}
-	topo := c.DirectoryTopology
-	if initialMap != nil {
-		topo = initialMap.DeriveGroups()
-	}
-	if len(topo) == 0 {
-		for _, s := range c.DirectoryShards {
-			topo = append(topo, []string{s})
-		}
-	}
-	if len(topo) == 0 && c.HostShard {
-		topo = [][]string{{addr}}
-	}
-	if len(topo) == 0 {
-		ln.Close()
-		return nil, fmt.Errorf("core: no directory shards configured")
-	}
-	hostsReplica := false
-	for _, group := range topo {
-		for _, a := range group {
-			if a == addr {
-				hostsReplica = true
-			}
-		}
-	}
-	switch {
-	case hostsReplica || initialMap != nil:
-		// With membership enabled every node runs the replicated server —
-		// even one hosting zero replicas today — so map pushes, snapshots
-		// and later rebalances land on live machinery.
-		dcfg := directory.Config{
-			Self:              addr,
-			Groups:            topo,
-			Dial:              n.dialCtrl,
-			HeartbeatInterval: c.DirHeartbeatInterval,
-			LeaseTimeout:      c.DirLeaseTimeout,
-		}
-		if initialMap != nil {
-			dcfg.InitialMap = initialMap
-			dcfg.RepairInterval = c.RepairInterval
-			dcfg.OnMap = n.applyMap
-		}
-		n.shard = directory.NewReplicated(dcfg)
-	case c.HostShard:
-		// Flag-driven hosting where the listen address does not textually
-		// match any shard entry (e.g. -listen 0.0.0.0:7077 behind a
-		// -shards list naming the public address): the pre-replication
-		// standalone server, which accepts every op. Replication requires
-		// the listen address to appear in the topology verbatim.
-		n.shard = directory.NewServer()
-	}
-	n.dir = directory.NewReplicatedClient(n.id, topo, n.dialCtrl)
+	// Every node runs the replicated server — even one hosting zero
+	// replicas today — so map pushes, snapshots and later rebalances land
+	// on live machinery.
+	n.shard = directory.NewReplicated(directory.Config{
+		Self:              addr,
+		Dial:              n.dialCtrl,
+		HeartbeatInterval: c.DirHeartbeatInterval,
+		LeaseTimeout:      c.DirLeaseTimeout,
+		InitialMap:        &cm,
+		RepairInterval:    c.RepairInterval,
+		OnMap:             n.applyMap,
+	})
+	n.dir = directory.NewReplicatedClient(n.id, cm.DeriveGroups(), n.dialCtrl)
 	n.dir.SetBatchConfig(c.batchConfig())
-	if initialMap != nil {
-		n.cmap = initialMap.Clone()
-		n.encodedMap = types.EncodeClusterMap(nil, n.cmap)
-		n.links.SetLocality(n.cmap.Localities())
-		n.dir.InstallMap(*initialMap)
-		n.dir.OnMap(n.applyMap)
-	}
+	n.cmap = cm.Clone()
+	n.encodedMap = types.EncodeClusterMap(nil, n.cmap)
+	n.links.SetLocality(n.cmap.Localities())
+	n.dir.InstallMap(cm)
+	n.dir.OnMap(n.applyMap)
 
 	n.dataLn = newChanListener(ln.Addr())
 	n.ctrlLn = newChanListener(ln.Addr())
@@ -252,12 +211,10 @@ func NewNode(cfg Config) (*Node, error) {
 	go func() { defer n.wg.Done(); n.acceptLoop() }()
 	go func() { defer n.wg.Done(); _ = n.dataSrv.Serve() }()
 	go func() { defer n.wg.Done(); _ = n.ctrlSrv.Serve() }()
-	if n.shard != nil {
-		// Replication loops start after the control plane is serving, so
-		// peer replicas probing this shard during its boot query get
-		// answers instead of timeouts.
-		n.shard.Start()
-	}
+	// Replication loops start after the control plane is serving, so peer
+	// replicas probing this shard during its boot query get answers
+	// instead of timeouts.
+	n.shard.Start()
 	if joined {
 		// A (re)joining node's in-memory store is empty, but a previous
 		// life of the same address may have registered locations that were
@@ -462,7 +419,7 @@ func (n *Node) dialCtrl(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // FetchClusterMap asks each seed in turn for the cluster map of a
-// running membership-enabled cluster. Ephemeral clients (the CLI) use it
+// running cluster. Ephemeral clients (the CLI) use it
 // before NewNode to derive the true shard topology from a single seed
 // address instead of requiring the operator to restate the founding
 // list; pass the result as Config.InitialMap.
@@ -590,12 +547,7 @@ func (n *Node) handleCtrl(ctx context.Context, m wire.Message, p *wire.Peer) wir
 		// (hoplite-cli status renders it).
 		return wire.Message{Payload: linkstate.EncodeSnapshot(n.links.Snapshot())}
 	default:
-		if n.shard != nil {
-			return n.shard.Handler()(ctx, m, p)
-		}
-		var resp wire.Message
-		resp.Err = "core: node hosts no directory shard"
-		return resp
+		return n.shard.Handler()(ctx, m, p)
 	}
 }
 
@@ -611,7 +563,7 @@ func (n *Node) staleCheck(m *wire.Message) (wire.Message, bool) {
 	}
 	n.cmapMu.Lock()
 	defer n.cmapMu.Unlock()
-	if n.cmap.Epoch == 0 || m.Epoch == 0 || m.Epoch >= n.cmap.Epoch {
+	if m.Epoch == 0 || m.Epoch >= n.cmap.Epoch {
 		return wire.Message{}, false
 	}
 	var resp wire.Message
@@ -621,24 +573,22 @@ func (n *Node) staleCheck(m *wire.Message) (wire.Message, bool) {
 	return resp, true
 }
 
-// mapEpoch returns the node's current cluster-map epoch (0 when
-// membership is disabled).
+// mapEpoch returns the node's current cluster-map epoch.
 func (n *Node) mapEpoch() int64 {
 	n.cmapMu.Lock()
 	defer n.cmapMu.Unlock()
 	return n.cmap.Epoch
 }
 
-// ClusterMap returns the node's view of the cluster map; Epoch 0 means
-// membership is disabled.
+// ClusterMap returns the node's view of the cluster map.
 func (n *Node) ClusterMap() types.ClusterMap {
 	n.cmapMu.Lock()
 	defer n.cmapMu.Unlock()
 	return n.cmap.Clone()
 }
 
-// ShardServer exposes the node's directory shard server, nil when the
-// node hosts none (used by tests and tools).
+// ShardServer exposes the node's directory shard server (used by tests
+// and tools).
 func (n *Node) ShardServer() *directory.Server { return n.shard }
 
 // applyMap reacts to a newer cluster map from any source — shard server
@@ -662,9 +612,7 @@ func (n *Node) applyMap(cm types.ClusterMap) {
 	n.cmapMu.Unlock()
 	n.dir.InstallMap(cm)
 	n.links.SetLocality(cm.Localities())
-	if n.shard != nil {
-		n.shard.InstallMap(cm)
-	}
+	n.shard.InstallMap(cm)
 	if startDrain {
 		n.mu.Lock()
 		if !n.closed {
@@ -690,11 +638,8 @@ func (n *Node) Drain(ctx context.Context) error {
 	ticker := time.NewTicker(20 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		cm := n.dir.Map()
-		if cm.Epoch > 0 {
-			if _, ok := cm.MemberState(n.id); !ok {
-				return nil
-			}
+		if _, ok := n.dir.Map().MemberState(n.id); !ok {
+			return nil
 		}
 		select {
 		case <-ctx.Done():
@@ -734,7 +679,7 @@ func (n *Node) drainMonitor() {
 // or a shard: it hosts no directory replicas and holds no object's only
 // whole copy.
 func (n *Node) drainComplete() bool {
-	if n.shard != nil && n.shard.HostedReplicas() > 0 {
+	if n.shard.HostedReplicas() > 0 {
 		return false
 	}
 	ctx, cancel := context.WithTimeout(n.ctx, 5*time.Second)
@@ -836,9 +781,7 @@ func (n *Node) Close() error {
 	n.ln.Close()
 	n.ctrlSrv.Close()
 	n.dataSrv.Close()
-	if n.shard != nil {
-		n.shard.Close()
-	}
+	n.shard.Close()
 	for _, c := range peers {
 		c.Close()
 	}

@@ -8,50 +8,18 @@ import (
 	"hoplite/internal/types"
 )
 
-// planner folds link estimates into the three transfer-planning decisions a
-// node makes: which senders a striped Get prefers (and how much each claims
-// per trip), what L and B feed the reduce-tree degree model (Eq. 1), and
-// which tree slot a ready source is assigned to. The static implementation
-// reproduces the legacy equal-links behavior exactly; the link planner
-// consults the node's link-state tracker.
-type planner interface {
-	// rankSenders orders leased senders most-preferred first. The first
-	// entry is also what the non-striped fallback keeps.
-	rankSenders(senders []types.NodeID) []types.NodeID
-	// stripeSpans sizes each ranked sender's per-claim span given the
-	// ledger grid chunk: a faster sender claims a longer run of chunks per
-	// ClaimNext trip, so the work-stealing split converges on a
-	// bandwidth-proportional byte partition with fewer claim round-trips.
-	stripeSpans(senders []types.NodeID, base int64) []int64
-	// reduceParams yields the latency and bandwidth fed to chooseDegree.
-	reduceParams() (time.Duration, float64)
-	// chooseSlot picks which free tree slot the next ready source (hosted
-	// on host) fills; leaf reports whether a slot has no children.
-	chooseSlot(free []int, leaf func(int) bool, host types.NodeID) int
-}
-
-// staticPlanner is the degenerate equal-links planner: arrival order,
-// equal spans, the configured global scalars. Selected with
-// Config.Planner = "static".
-type staticPlanner struct {
+// linkPlanner folds link estimates into the three transfer-planning
+// decisions a node makes: which senders a striped Get prefers (and how
+// much each claims per trip), what L and B feed the reduce-tree degree
+// model (Eq. 1), and which tree slot a ready source is assigned to. It
+// plans against the node's measured per-link estimates, falling back to
+// the configured priors where nothing has been measured, so on a cold
+// cluster it keeps the equal-links plan: arrival order, equal spans, the
+// priors, and the lowest free slot.
+type linkPlanner struct {
+	links     *linkstate.Tracker
 	latency   time.Duration
 	bandwidth float64
-}
-
-func (p staticPlanner) rankSenders(s []types.NodeID) []types.NodeID { return s }
-
-func (p staticPlanner) stripeSpans(senders []types.NodeID, base int64) []int64 {
-	spans := make([]int64, len(senders))
-	for i := range spans {
-		spans[i] = base
-	}
-	return spans
-}
-
-func (p staticPlanner) reduceParams() (time.Duration, float64) { return p.latency, p.bandwidth }
-
-func (p staticPlanner) chooseSlot(free []int, _ func(int) bool, _ types.NodeID) int {
-	return free[0]
 }
 
 // maxSpanFactor caps how much longer a fast sender's claim span may grow
@@ -64,15 +32,8 @@ const maxSpanFactor = 4
 // median peer bandwidth deviates from arrival-order placement.
 const slowFraction = 0.5
 
-// linkPlanner plans against measured per-link estimates, falling back to
-// the configured priors where nothing has been measured (which makes it
-// behave exactly like staticPlanner on a cold cluster).
-type linkPlanner struct {
-	links     *linkstate.Tracker
-	latency   time.Duration
-	bandwidth float64
-}
-
+// rankSenders orders leased senders most-preferred first. The first entry
+// is also what the non-striped fallback keeps.
 func (p linkPlanner) rankSenders(s []types.NodeID) []types.NodeID {
 	if len(s) < 2 {
 		return s
@@ -84,6 +45,10 @@ func (p linkPlanner) rankSenders(s []types.NodeID) []types.NodeID {
 	return out
 }
 
+// stripeSpans sizes each ranked sender's per-claim span given the ledger
+// grid chunk: a faster sender claims a longer run of chunks per ClaimNext
+// trip, so the work-stealing split converges on a bandwidth-proportional
+// byte partition with fewer claim round-trips.
 func (p linkPlanner) stripeSpans(senders []types.NodeID, base int64) []int64 {
 	spans := make([]int64, len(senders))
 	bw := make([]float64, len(senders))
@@ -111,11 +76,10 @@ func (p linkPlanner) stripeSpans(senders []types.NodeID, base int64) []int64 {
 	return spans
 }
 
-// reduceParams aggregates the measured links into one (L, B) pair for the
-// degree model: the mean RTT and mean bandwidth across measured peers.
-// Equation 1 models the cluster with scalar L and B, so the mean is the
-// faithful reduction; per-slot asymmetry is handled by slot placement, not
-// by the degree.
+// reduceParams yields the latency and bandwidth fed to chooseDegree: the
+// mean RTT and mean bandwidth across measured peers. Equation 1 models the
+// cluster with scalar L and B, so the mean is the faithful reduction;
+// per-slot asymmetry is handled by slot placement, not by the degree.
 func (p linkPlanner) reduceParams() (time.Duration, float64) {
 	var rtt, bw float64
 	n := 0
@@ -132,11 +96,13 @@ func (p linkPlanner) reduceParams() (time.Duration, float64) {
 	return time.Duration(rtt / float64(n) * float64(time.Second)), bw / float64(n)
 }
 
-// chooseSlot keeps the legacy lowest-free-slot fill except for hosts
-// measured well below the median peer bandwidth, which are steered to a
-// free leaf slot: a leaf uploads its subtree output once and receives
-// nothing, so a starved link contributes its object without sitting on
-// every descendant's critical path.
+// chooseSlot picks which free tree slot the next ready source (hosted on
+// host) fills; leaf reports whether a slot has no children. It keeps the
+// lowest-free-slot fill except for hosts measured well below the median
+// peer bandwidth, which are steered to a free leaf slot: a leaf uploads
+// its subtree output once and receives nothing, so a starved link
+// contributes its object without sitting on every descendant's critical
+// path.
 func (p linkPlanner) chooseSlot(free []int, leaf func(int) bool, host types.NodeID) int {
 	est := p.links.Estimate(host)
 	if !est.Measured {

@@ -77,24 +77,32 @@ func TestLinkPlannerStripeSpanCap(t *testing.T) {
 	}
 }
 
-// With nothing measured the link planner must reproduce the static
-// planner's decisions exactly: priors in, arrival order and equal spans out.
+// With nothing measured the link planner must keep the equal-links plan:
+// senders in arrival order, equal spans of exactly the grid chunk, the
+// priors fed to the degree model, and the lowest free slot even when a
+// leaf is free.
 func TestLinkPlannerColdMatchesStatic(t *testing.T) {
 	lat, bw := 500*time.Microsecond, float64(64<<20)
 	lp := seededPlanner(lat, bw, nil)
-	sp := staticPlanner{latency: lat, bandwidth: bw}
 
 	senders := []types.NodeID{"x", "y", "z"}
 	gotRank := lp.rankSenders(senders)
-	for i, s := range sp.rankSenders(senders) {
+	if len(gotRank) != len(senders) {
+		t.Fatalf("cold rankSenders = %v, want arrival order %v", gotRank, senders)
+	}
+	for i, s := range senders {
 		if gotRank[i] != s {
-			t.Fatalf("cold rankSenders = %v, want arrival order", gotRank)
+			t.Fatalf("cold rankSenders = %v, want arrival order %v", gotRank, senders)
 		}
 	}
-	gotSpans := lp.stripeSpans(senders, 1<<20)
-	for i, s := range sp.stripeSpans(senders, 1<<20) {
-		if gotSpans[i] != s {
-			t.Fatalf("cold stripeSpans = %v, want equal spans", gotSpans)
+	const base = 1 << 20
+	gotSpans := lp.stripeSpans(senders, base)
+	if len(gotSpans) != len(senders) {
+		t.Fatalf("cold stripeSpans = %v, want %d equal spans", gotSpans, len(senders))
+	}
+	for _, span := range gotSpans {
+		if span != base {
+			t.Fatalf("cold stripeSpans = %v, want every span %d", gotSpans, base)
 		}
 	}
 	gl, gb := lp.reduceParams()

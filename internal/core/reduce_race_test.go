@@ -19,7 +19,7 @@ import (
 // executor before the new one touches the store. Bumping epochs rapidly
 // under load makes the old interleaving essentially certain across runs.
 func TestReduceEpochReplacementRace(t *testing.T) {
-	node, err := NewNode(Config{Fabric: &netem.TCP{}, HostShard: true})
+	node, err := NewNode(Config{Fabric: &netem.TCP{}}) // founds a one-member cluster
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ type Client struct {
 
 	mu          sync.Mutex
 	groups      [][]string       // per-shard replica addresses; re-derived on map installs
-	cmap        types.ClusterMap // installed cluster map (Epoch 0 = membership disabled)
+	cmap        types.ClusterMap // installed cluster map (Epoch 0 until one is installed)
 	onMap       func(types.ClusterMap)
 	batch       wire.BatchConfig // write batching for shard connections
 	retiredWire wire.BatchStats  // batching counters of closed connections
@@ -71,17 +71,6 @@ type Client struct {
 	subs    map[types.ObjectID][]subscription
 	subAddr map[types.ObjectID]string // replica currently pushing for each oid
 	nextSub int
-}
-
-// NewClient creates a directory client against unreplicated shards:
-// shards lists every shard server address; an object's shard is
-// oid.Shard(len(shards)). It is the single-replica form of NewReplicated.
-func NewClient(self types.NodeID, shards []string, dial Dialer) *Client {
-	groups := make([][]string, len(shards))
-	for i, s := range shards {
-		groups[i] = []string{s}
-	}
-	return NewReplicatedClient(self, groups, dial)
 }
 
 // NewReplicatedClient creates a directory client for a node against a
@@ -170,8 +159,8 @@ func (c *Client) OnMap(fn func(types.ClusterMap)) {
 	c.mu.Unlock()
 }
 
-// Map returns the currently installed cluster map (Epoch 0 when
-// membership is disabled or no map has been installed yet).
+// Map returns the currently installed cluster map (Epoch 0 when none has
+// been installed yet).
 func (c *Client) Map() types.ClusterMap {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -409,9 +398,8 @@ func (c *Client) readCall(ctx context.Context, m wire.Message) (wire.Message, st
 // shard always has a dialable replica, so total unreachability means
 // this node is the dead or partitioned side.
 //
-// With membership enabled every request is stamped with the installed
-// map's epoch (a field on a call already being made — no extra round
-// trip). An ErrStaleMap bounce carries the replica's newer map: install
+// Every request is stamped with the installed map's epoch (a field on a
+// call already being made — no extra round trip). An ErrStaleMap bounce carries the replica's newer map: install
 // it, re-derive the group, and retry against the new topology.
 func (c *Client) route(ctx context.Context, shard int, m wire.Message, read bool) (wire.Message, string, error) {
 	slot := func() *int {
@@ -862,11 +850,9 @@ func (c *Client) Status(ctx context.Context, node types.NodeID) (ClusterStatus, 
 			Under:      int(resp.Num),
 			SoleCopies: int(resp.Offset),
 		})
-		if st.Map.Epoch == 0 && len(resp.Payload) > 0 {
-			if cm, derr := types.DecodeClusterMap(resp.Payload); derr == nil {
-				st.Map = cm
-				c.InstallMap(cm)
-			}
+		if cm, derr := types.DecodeClusterMap(resp.Payload); derr == nil && cm.Epoch > st.Map.Epoch {
+			st.Map = cm
+			c.InstallMap(cm)
 		}
 	}
 	return st, nil

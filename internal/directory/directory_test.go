@@ -3,36 +3,21 @@ package directory
 import (
 	"context"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"hoplite/internal/types"
-	"hoplite/internal/wire"
 )
 
-// startShard runs one directory shard over TCP and returns clients for
-// the given node names.
+// startShard runs the directory shard of a one-member cluster over TCP
+// and returns clients for the given node names.
 func startShard(t *testing.T, nodes ...types.NodeID) []*Client {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := NewServer()
-	srv := wire.NewServer(ln, shard.Handler())
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	dial := func(ctx context.Context, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
+	h := startReplicaGroup(t, 1)
 	var clients []*Client
 	for _, n := range nodes {
-		c := NewClient(n, []string{ln.Addr().String()}, dial)
-		t.Cleanup(func() { c.Close() })
-		clients = append(clients, c)
+		clients = append(clients, h.client(n))
 	}
 	return clients
 }
@@ -555,24 +540,12 @@ func TestPurgeNodeReturnsStripedLeases(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := NewServer()
-	srv := wire.NewServer(ln, shard.Handler())
-	go srv.Serve()
-	defer srv.Close()
-	dial := func(ctx context.Context, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
-	c := NewClient("n", []string{ln.Addr().String()}, dial)
-	defer c.Close()
+	h := startReplicaGroup(t, 1)
+	c := h.client("n")
 	ctx := ctxT(t)
 	c.PutInline(ctx, types.ObjectIDFromString("s"), []byte("x"))
 	c.PutStarted(ctx, types.ObjectIDFromString("l"), 100)
-	st := shard.Stats()
+	st := h.dirs[0].Stats()
 	if st.Objects != 2 || st.Inline != 1 {
 		t.Fatalf("stats %+v", st)
 	}

@@ -80,8 +80,7 @@ func (s *Server) staleMapRespLocked() wire.Message {
 	return resp
 }
 
-// ClusterMap returns the currently installed map (Epoch 0 when membership
-// is disabled).
+// ClusterMap returns the currently installed map.
 func (s *Server) ClusterMap() types.ClusterMap {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,16 +106,15 @@ func (s *Server) InstallMap(m types.ClusterMap) bool {
 // closures (member-removal purges, the OnMap hook) that the caller must
 // run after releasing s.mu.
 func (s *Server) installMapLocked(next types.ClusterMap) []func() {
-	if s.closed || next.Epoch <= s.cmap.Epoch || next.NumShards != len(s.cfg.Groups) {
+	if s.closed || next.Epoch <= s.cmap.Epoch || next.NumShards != s.cmap.NumShards {
 		return nil
 	}
 	prev := s.cmap
 	s.cmap = next.Clone()
 	s.encodedMap = types.EncodeClusterMap(nil, s.cmap)
-	s.cfg.Groups = s.cmap.DeriveGroups()
 	var after []func()
 	self := s.cfg.Self
-	for i, g := range s.cfg.Groups {
+	for i, g := range s.cmap.DeriveGroups() {
 		selfIdx := -1
 		for j, a := range g {
 			if a == self {
@@ -232,12 +230,6 @@ func (s *Server) membership(m wire.Message) wire.Message {
 	rep, resp, ok := s.admitLocked(&m)
 	if !ok {
 		s.mu.Unlock()
-		return resp
-	}
-	if s.cmap.Epoch == 0 || rep == nil {
-		s.mu.Unlock()
-		resp = wire.Message{}
-		resp.Err = "directory: cluster membership not enabled"
 		return resp
 	}
 	var next types.ClusterMap
@@ -382,10 +374,6 @@ func (s *Server) mapGet() wire.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var resp wire.Message
-	if s.cmap.Epoch == 0 {
-		resp.Err = "directory: cluster membership not enabled"
-		return resp
-	}
 	resp.Epoch = s.cmap.Epoch
 	resp.Payload = append([]byte(nil), s.encodedMap...)
 	return resp
@@ -403,21 +391,15 @@ func (s *Server) status(m wire.Message) wire.Message {
 	if !ok {
 		return resp
 	}
-	shard := -1
-	if rep != nil {
-		shard = rep.shard
-		resp.Gen = rep.epoch
-	}
+	resp.Gen = rep.epoch
 	resp.Complete = true
 	resp.Epoch = s.cmap.Epoch
-	if s.cmap.Epoch > 0 {
-		resp.Payload = append([]byte(nil), s.encodedMap...)
-	}
-	under, total := s.shardRepairStatsLocked(shard)
+	resp.Payload = append([]byte(nil), s.encodedMap...)
+	under, total := s.shardRepairStatsLocked(rep.shard)
 	resp.Num = int64(under)
 	resp.Size = int64(total)
 	if m.Node != "" {
-		resp.Offset = int64(s.soleCopiesShardLocked(shard, m.Node))
+		resp.Offset = int64(s.soleCopiesShardLocked(rep.shard, m.Node))
 	}
 	return resp
 }
@@ -442,14 +424,11 @@ func (s *Server) repairTargetLocked() int {
 // shardRepairStatsLocked counts the shard's live entries and how many of
 // them are under-replicated: fewer whole copies on active members than
 // the effective target, while at least one whole copy survives somewhere
-// to repair from. shard -1 scans everything (standalone mode).
+// to repair from.
 func (s *Server) shardRepairStatsLocked(shard int) (under, total int) {
-	if s.cmap.Epoch == 0 {
-		return 0, len(s.entries)
-	}
 	target := s.repairTargetLocked()
 	for oid, e := range s.entries {
-		if shard >= 0 && s.shardOfOID(oid) != shard {
+		if s.shardOfOID(oid) != shard {
 			continue
 		}
 		if e.deleted {
@@ -485,7 +464,7 @@ func (s *Server) shardRepairStatsLocked(shard int) (under, total int) {
 func (s *Server) soleCopiesShardLocked(shard int, node types.NodeID) int {
 	count := 0
 	for oid, e := range s.entries {
-		if shard >= 0 && s.shardOfOID(oid) != shard {
+		if s.shardOfOID(oid) != shard {
 			continue
 		}
 		if e.deleted || e.inline != nil {
@@ -602,7 +581,7 @@ func (s *Server) repairLoop(interval time.Duration) {
 // registers the new complete copy in the directory as a side effect.
 func (s *Server) repairPass() {
 	s.mu.Lock()
-	if s.closed || s.cmap.Epoch == 0 || s.cmap.ObjectRF < 1 {
+	if s.closed || s.cmap.ObjectRF < 1 {
 		s.mu.Unlock()
 		return
 	}

@@ -11,9 +11,9 @@ import (
 	"hoplite/internal/wire"
 )
 
-// membershipHarness runs a membership-enabled replica fleet over real TCP:
-// every server boots from the same epoch-1 cluster map, from which it
-// derives its shard groups.
+// membershipHarness runs a replica fleet over real TCP: every server
+// boots from the same epoch-1 cluster map, from which it derives its shard
+// groups.
 type membershipHarness struct {
 	t     *testing.T
 	boot  types.ClusterMap
@@ -41,12 +41,7 @@ func startMembershipGroup(t *testing.T, n, shards, dirRF, objRF int) *membership
 		h.lns[i] = ln
 		h.addrs = append(h.addrs, ln.Addr().String())
 	}
-	h.boot = types.ClusterMap{Epoch: 1, NumShards: shards, DirRF: dirRF, ObjectRF: objRF}
-	for _, a := range h.addrs {
-		h.boot.Members = append(h.boot.Members, types.Member{
-			Addr: types.NodeID(a), State: types.MemberActive, ShardHost: true,
-		})
-	}
+	h.boot = bootMap(h.addrs, shards, dirRF, objRF)
 	for i := 0; i < n; i++ {
 		h.start(i, h.boot)
 	}
@@ -60,12 +55,23 @@ func startMembershipGroup(t *testing.T, n, shards, dirRF, objRF int) *membership
 	return h
 }
 
+// bootMap is the epoch-1 map founding a cluster of shard-hosting members
+// addrs.
+func bootMap(addrs []string, shards, dirRF, objRF int) types.ClusterMap {
+	cm := types.ClusterMap{Epoch: 1, NumShards: shards, DirRF: dirRF, ObjectRF: objRF}
+	for _, a := range addrs {
+		cm.Members = append(cm.Members, types.Member{
+			Addr: types.NodeID(a), State: types.MemberActive, ShardHost: true,
+		})
+	}
+	return cm
+}
+
 func (h *membershipHarness) start(i int, boot types.ClusterMap) {
 	h.t.Helper()
 	cm := boot.Clone()
 	d := NewReplicated(Config{
 		Self:              h.addrs[i],
-		Groups:            cm.DeriveGroups(),
 		Dial:              tcpDial,
 		HeartbeatInterval: testBeat,
 		LeaseTimeout:      testLease,
@@ -83,6 +89,25 @@ func (h *membershipHarness) kill(i int) {
 	h.wires[i].Close()
 	h.dirs[i].Close()
 	h.dirs[i] = nil
+}
+
+// restart rebinds member i's address and boots a fresh, empty server on
+// it from the founding map.
+func (h *membershipHarness) restart(i int) {
+	h.t.Helper()
+	var err error
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h.lns[i], err = net.Listen("tcp", h.addrs[i])
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			h.t.Fatalf("rebind %s: %v", h.addrs[i], err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	h.start(i, h.boot)
 }
 
 func (h *membershipHarness) client(node types.NodeID) *Client {
@@ -112,7 +137,7 @@ func rawCall(t *testing.T, addr string, m wire.Message) wire.Message {
 
 // TestDirectoryStaleEpochBounce checks the directory's epoch gate on both
 // paths: requests stamped with an older epoch get ErrStaleMap plus the
-// current map in the payload; unstamped (legacy) and current-epoch
+// current map in the payload; unstamped (no map installed) and current-epoch
 // requests pass.
 func TestDirectoryStaleEpochBounce(t *testing.T) {
 	h := startMembershipGroup(t, 2, 2, 2, 1)

@@ -55,34 +55,28 @@ const (
 	forwardTimeout = 2 * time.Second
 )
 
-// Config configures a replicated shard server. The zero value is the
-// legacy standalone mode: a single unreplicated server that accepts every
-// op (used by tests and single-node deployments).
+// Config configures a replicated shard server.
 type Config struct {
-	// Self is this server's control address, as it appears in Groups.
+	// Self is this server's control address, as it appears in the map.
 	Self string
-	// Groups lists every shard's replica addresses in succession order:
-	// Groups[i][0] is shard i's initial primary, and on failure the next
-	// live replica by index takes over. The server hosts a replica of
-	// every group containing Self.
-	Groups [][]string
 	// Dial connects to peer replicas for replication, heartbeats and
-	// promotion probes. Required when Groups is set.
+	// promotion probes.
 	Dial Dialer
 	// HeartbeatInterval and LeaseTimeout override the replication timing
 	// defaults (tests use tighter values).
 	HeartbeatInterval time.Duration
 	LeaseTimeout      time.Duration
-	// InitialMap, when set, enables epoch-versioned membership: Groups
-	// should be the map's DeriveGroups result, stamped requests are
-	// epoch-checked, and membership transitions (join/drain/remove) are
-	// resolved by the membership shard's primary. Nil keeps the legacy
-	// fixed-topology behavior (epoch 0 everywhere, no checks).
+	// InitialMap is the cluster map the server boots with. Required. Its
+	// DeriveGroups result places every shard: groups[i][0] is shard i's
+	// initial primary, and on failure the next live replica by index takes
+	// over. The server hosts a replica of every group containing Self,
+	// bounces requests stamped with an older epoch, and resolves
+	// membership transitions (join/drain/remove) when it leads the
+	// membership shard.
 	InitialMap *types.ClusterMap
 	// RepairInterval is the re-replication scanner period (see
 	// membership.go). 0 uses DefaultRepairInterval; negative disables the
-	// scanner. The scanner only runs when membership is enabled and the
-	// map's ObjectRF is positive.
+	// scanner. The scanner only acts while the map's ObjectRF is positive.
 	RepairInterval time.Duration
 	// OnMap, if non-nil, runs (outside the server lock) after a newer
 	// cluster map is installed — the node embedding this server uses it to
@@ -182,27 +176,21 @@ func (r *replica) hasPeers(self string) bool {
 
 // Start launches the replication goroutines: a boot-time state query (so
 // a restarted replica rejoins as a backup instead of split-braining the
-// shard), the primary heartbeat loop, the backup promotion monitor, and —
-// when membership is enabled — the re-replication scanner. With membership
-// on, the loops run even when this server hosts no replica yet: map
-// installs create replicas dynamically and the per-tick scans pick them
-// up. It is a no-op for a standalone server.
+// shard), the primary heartbeat loop, the backup promotion monitor, and
+// the re-replication scanner. The loops run even when this server hosts
+// no replica yet: map installs create replicas dynamically and the
+// per-tick scans pick them up.
 func (s *Server) Start() {
 	s.mu.Lock()
 	reps := make([]*replica, 0, len(s.reps))
 	for _, r := range s.reps {
 		reps = append(reps, r)
 	}
-	membership := s.cmap.Epoch > 0
-	repair := membership && s.cfg.RepairInterval >= 0
 	interval := s.cfg.RepairInterval
 	if interval == 0 {
 		interval = DefaultRepairInterval
 	}
 	s.mu.Unlock()
-	if len(reps) == 0 && !membership {
-		return
-	}
 	if len(reps) > 0 {
 		s.wg.Add(1)
 		go func() {
@@ -215,7 +203,7 @@ func (s *Server) Start() {
 	s.wg.Add(2)
 	go func() { defer s.wg.Done(); s.heartbeatLoop() }()
 	go func() { defer s.wg.Done(); s.monitorLoop() }()
-	if repair {
+	if interval > 0 {
 		s.wg.Add(1)
 		go func() { defer s.wg.Done(); s.repairLoop(interval) }()
 	}
@@ -366,10 +354,7 @@ func (s *Server) wakeShardLocked(shard int) {
 }
 
 func (s *Server) shardOfOID(oid types.ObjectID) int {
-	if len(s.cfg.Groups) == 0 {
-		return -1
-	}
-	return oid.Shard(len(s.cfg.Groups))
+	return oid.Shard(s.cmap.NumShards)
 }
 
 // conn returns a cached replication connection to a peer replica.
@@ -441,12 +426,8 @@ func (s *Server) callReplica(addr string, m wire.Message) (wire.Message, error) 
 // return means a backup exposed a higher epoch and the op lives only in
 // this deposed replica's history (about to be wiped by resync), so the
 // caller must answer ErrNotPrimary and let the client retry against the
-// real primary instead of acknowledging a write that will vanish. rep is
-// nil in standalone mode.
+// real primary instead of acknowledging a write that will vanish.
 func (s *Server) commitLocked(rep *replica, op wire.Message, resp wire.Message) func() bool {
-	if rep == nil {
-		return nil
-	}
 	rep.seq++
 	seq := rep.seq
 	if op.Num2 > 0 {
@@ -787,7 +768,7 @@ func (s *Server) beatBackups(r *replica) {
 			return
 		}
 		switch {
-		case s.cmap.Epoch > 0 && resp.Epoch > 0 && resp.Epoch < s.cmap.Epoch:
+		case resp.Epoch > 0 && resp.Epoch < s.cmap.Epoch:
 			mapBehind = append(mapBehind, addr)
 		case resp.Epoch > s.cmap.Epoch:
 			mapAhead = addr
@@ -952,7 +933,7 @@ func (s *Server) pushSnapshot(r *replica, addr string) {
 	}
 	dedupe := appendSnapshotDedupe(nil, r)
 	var mapSec []byte
-	if r.shard == membershipShard && s.cmap.Epoch > 0 {
+	if r.shard == membershipShard {
 		// The membership shard's snapshot carries the cluster map, so a
 		// resynced replica lands on exactly the epoch its new state was
 		// captured at even if it missed every push.

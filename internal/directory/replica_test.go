@@ -17,94 +17,18 @@ func tcpDial(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
-// replicaHarness runs one shard's replica group over real TCP, each
-// replica an independent directory server behind its own wire server.
-type replicaHarness struct {
-	t     *testing.T
-	addrs []string
-	lns   []net.Listener
-	dirs  []*Server
-	wires []*wire.Server
-}
-
 const (
 	testBeat  = 10 * time.Millisecond
 	testLease = 80 * time.Millisecond
 )
 
-func startReplicaGroup(t *testing.T, n int) *replicaHarness {
+// startReplicaGroup runs one shard's replica group over real TCP: n
+// members of a founding map whose single shard is replicated on all of
+// them, each replica an independent directory server behind its own wire
+// server.
+func startReplicaGroup(t *testing.T, n int) *membershipHarness {
 	t.Helper()
-	h := &replicaHarness{
-		t:     t,
-		lns:   make([]net.Listener, n),
-		dirs:  make([]*Server, n),
-		wires: make([]*wire.Server, n),
-	}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.lns[i] = ln
-		h.addrs = append(h.addrs, ln.Addr().String())
-	}
-	for i := 0; i < n; i++ {
-		h.start(i)
-	}
-	t.Cleanup(func() {
-		for i := range h.dirs {
-			if h.dirs[i] != nil {
-				h.kill(i)
-			}
-		}
-	})
-	return h
-}
-
-func (h *replicaHarness) start(i int) {
-	h.t.Helper()
-	d := NewReplicated(Config{
-		Self:              h.addrs[i],
-		Groups:            [][]string{h.addrs},
-		Dial:              tcpDial,
-		HeartbeatInterval: testBeat,
-		LeaseTimeout:      testLease,
-	})
-	ws := wire.NewServer(h.lns[i], d.Handler())
-	go ws.Serve()
-	d.Start()
-	h.dirs[i] = d
-	h.wires[i] = ws
-}
-
-func (h *replicaHarness) kill(i int) {
-	h.wires[i].Close()
-	h.dirs[i].Close()
-	h.dirs[i] = nil
-}
-
-func (h *replicaHarness) restart(i int) {
-	h.t.Helper()
-	var err error
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h.lns[i], err = net.Listen("tcp", h.addrs[i])
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			h.t.Fatalf("rebind %s: %v", h.addrs[i], err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	h.start(i)
-}
-
-func (h *replicaHarness) client(node types.NodeID) *Client {
-	h.t.Helper()
-	c := NewReplicatedClient(node, [][]string{h.addrs}, tcpDial)
-	h.t.Cleanup(func() { c.Close() })
-	return c
+	return startMembershipGroup(t, n, 1, n, 0)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -181,9 +105,10 @@ func TestLogTailReplayOnPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	group := []string{fakeLn.Addr().String(), backupLn.Addr().String()}
+	cm := bootMap(group, 1, len(group), 0)
 	backup := NewReplicated(Config{
 		Self:              group[1],
-		Groups:            [][]string{group},
+		InitialMap:        &cm,
 		Dial:              tcpDial,
 		HeartbeatInterval: testBeat,
 		LeaseTimeout:      testLease,
@@ -277,10 +202,11 @@ func TestPromotionPrefersSyncedReplica(t *testing.T) {
 		group = append(group, lns[i].Addr().String())
 	}
 	servers := make([]*Server, 2)
+	cm := bootMap(group, 1, len(group), 0)
 	for i := range servers {
 		servers[i] = NewReplicated(Config{
 			Self:              group[i+1],
-			Groups:            [][]string{group},
+			InitialMap:        &cm,
 			Dial:              tcpDial,
 			HeartbeatInterval: testBeat,
 			LeaseTimeout:      testLease,
@@ -508,8 +434,9 @@ func TestSubscribeRehomedOnReplicaDeath(t *testing.T) {
 	}
 }
 
-// TestStandaloneBackCompat checks the zero-config server still behaves as
-// the unreplicated single shard (no role checks, no forwarding).
+// TestStandaloneBackCompat checks that a one-member founding map — what
+// a flagless hoplited boots — serves as the old standalone shard did: its
+// only replica is primary with no backup to forward to.
 func TestStandaloneBackCompat(t *testing.T) {
 	cs := startShard(t, "n1", "n2")
 	ctx := ctxT(t)

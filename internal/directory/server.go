@@ -80,9 +80,8 @@ func (e *entry) snapshotLocs() []types.Location {
 }
 
 // Server hosts this node's directory shard replicas: for every replica
-// group in Config.Groups containing Config.Self, one primary-or-backup
-// replica. A zero-config server (NewServer) is the legacy standalone
-// mode: one unreplicated shard accepting every op.
+// group derived from the installed cluster map that contains Config.Self,
+// one primary-or-backup replica.
 type Server struct {
 	cfg Config
 
@@ -91,8 +90,8 @@ type Server struct {
 	reps    map[int]*replica
 	conns   map[string]*wire.Client
 	closed  bool
-	// cmap is the installed cluster map (Epoch 0 = membership disabled).
-	// encodedMap caches its encoding for stale-epoch bounce payloads.
+	// cmap is the installed cluster map; its derived groups place every
+	// shard. encodedMap caches its encoding for stale-epoch bounce payloads.
 	cmap       types.ClusterMap
 	encodedMap []byte
 	// repairing tracks in-flight re-replication pulls (see membership.go).
@@ -103,14 +102,8 @@ type Server struct {
 	wg   sync.WaitGroup
 }
 
-// NewServer creates a standalone (unreplicated) shard server, the legacy
-// single-shard mode. Call Handler to embed it into a control plane.
-func NewServer() *Server {
-	return NewReplicated(Config{})
-}
-
 // NewReplicated creates a server hosting a replica of every shard group
-// in cfg.Groups that contains cfg.Self. Call Start after the control
+// of cfg.InitialMap that contains cfg.Self. Call Start after the control
 // plane begins serving, and Close on shutdown.
 func NewReplicated(cfg Config) *Server {
 	if cfg.HeartbeatInterval <= 0 {
@@ -127,11 +120,9 @@ func NewReplicated(cfg Config) *Server {
 		repairing: make(map[repairKey]bool),
 		done:      make(chan struct{}),
 	}
-	if cfg.InitialMap != nil {
-		s.cmap = cfg.InitialMap.Clone()
-		s.encodedMap = types.EncodeClusterMap(nil, s.cmap)
-	}
-	for i, group := range cfg.Groups {
+	s.cmap = cfg.InitialMap.Clone()
+	s.encodedMap = types.EncodeClusterMap(nil, s.cmap)
+	for i, group := range s.cmap.DeriveGroups() {
 		selfIdx := -1
 		for j, addr := range group {
 			if addr == cfg.Self {
@@ -267,12 +258,8 @@ func (s *Server) handle(ctx context.Context, m wire.Message, p *wire.Peer) wire.
 
 // shardOf returns the shard index a mutation targets: derived from the
 // OID, except PurgeNode and Status (no OID) which carry it in Offset, and
-// the membership ops, which always resolve on the membership shard. -1
-// means standalone mode (no topology).
+// the membership ops, which always resolve on the membership shard.
 func (s *Server) shardOf(m *wire.Message) int {
-	if len(s.cfg.Groups) == 0 {
-		return -1
-	}
 	switch m.Method {
 	case wire.MethodPurgeNode, wire.MethodStatus:
 		return int(m.Offset)
@@ -291,25 +278,17 @@ func (s *Server) admitLocked(m *wire.Message) (rep *replica, resp wire.Message, 
 		resp.SetError(types.ErrClosed)
 		return nil, resp, false
 	}
-	if s.cmap.Epoch > 0 && m.Epoch > 0 && m.Epoch < s.cmap.Epoch {
+	if m.Epoch > 0 && m.Epoch < s.cmap.Epoch {
 		// The caller derived its routing from an older map; refresh it
 		// instead of executing against a topology it no longer sees.
 		return nil, s.staleMapRespLocked(), false
 	}
-	shard := s.shardOf(m)
-	if shard < 0 {
-		return nil, wire.Message{}, true // standalone: wildcard primary
-	}
-	rep = s.reps[shard]
+	rep = s.reps[s.shardOf(m)]
 	if rep == nil {
-		if s.cmap.Epoch > 0 {
-			// Membership mode: the shard moved away from this server (or
-			// never lived here). Hand the caller the current map so it can
-			// re-derive the group, whatever epoch it stamped.
-			return nil, s.staleMapRespLocked(), false
-		}
-		resp.Err = "directory: shard not hosted here"
-		return nil, resp, false
+		// The shard moved away from this server (or never lived here).
+		// Hand the caller the current map so it can re-derive the group,
+		// whatever epoch it stamped.
+		return nil, s.staleMapRespLocked(), false
 	}
 	if !rep.primary || rep.needSync {
 		resp.SetError(types.ErrNotPrimary)
@@ -330,27 +309,18 @@ func (s *Server) admitLocked(m *wire.Message) (rep *replica, resp wire.Message, 
 // stamping an older map epoch gets the current map — its routing may
 // place this shard on a different group entirely.
 func (s *Server) readRedirectLocked(m *wire.Message) (wire.Message, bool) {
-	if s.cmap.Epoch > 0 && m.Epoch > 0 && m.Epoch < s.cmap.Epoch {
+	if m.Epoch > 0 && m.Epoch < s.cmap.Epoch {
 		return s.staleMapRespLocked(), true
 	}
-	oid := m.OID
-	shard := s.shardOfOID(oid)
-	if shard < 0 {
-		return wire.Message{}, false
-	}
-	var resp wire.Message
-	rep := s.reps[shard]
+	rep := s.reps[s.shardOfOID(m.OID)]
 	if rep == nil {
-		if s.cmap.Epoch > 0 {
-			return s.staleMapRespLocked(), true
-		}
-		resp.Err = "directory: shard not hosted here"
-		return resp, true
+		return s.staleMapRespLocked(), true
 	}
 	if rep.needSync || (!rep.booted && !rep.primary) {
 		// Out of sync, or the boot query hasn't yet established whether
 		// the shard has history elsewhere (a joiner's empty replica must
 		// not answer ErrNotFound for entries the incumbents hold).
+		var resp wire.Message
 		resp.SetError(types.ErrNotPrimary)
 		resp.Node = types.NodeID(rep.primaryAddr)
 		return resp, true
@@ -609,7 +579,7 @@ func (s *Server) applyPurgeLocked(m wire.Message) (wire.Message, bool, func()) {
 	shard := s.shardOf(&m)
 	var notifies []func()
 	for oid, e := range s.entries {
-		if shard >= 0 && s.shardOfOID(oid) != shard {
+		if s.shardOfOID(oid) != shard {
 			continue
 		}
 		touched := false
@@ -974,14 +944,10 @@ func (s *Server) Stats() Stats {
 }
 
 // Primary reports whether this server currently acts as the primary for
-// the given shard (always true in standalone mode); used by tests and
-// tools.
+// the given shard; used by tests and tools.
 func (s *Server) Primary(shard int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.cfg.Groups) == 0 {
-		return true
-	}
 	r := s.reps[shard]
 	return r != nil && r.primary
 }

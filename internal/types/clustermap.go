@@ -58,9 +58,9 @@ type Member struct {
 	Locality string
 }
 
-// ClusterMap is the epoch-versioned cluster description. Epoch 0 is the
-// zero value and means "no map": legacy fixed-topology clusters run
-// entirely at epoch 0 and every membership feature stays disabled.
+// ClusterMap is the epoch-versioned cluster description every node boots
+// from. Founding maps start at epoch 1; Epoch 0 is the zero value and
+// means "no map installed yet".
 type ClusterMap struct {
 	Epoch     int64
 	NumShards int // directory shard count, fixed for the cluster lifetime
@@ -189,10 +189,10 @@ func (m ClusterMap) WithRemove(addr NodeID) (ClusterMap, error) {
 
 // DeriveGroups maps the membership onto NumShards directory replica
 // groups: group i is the DirRF active shard hosts starting at position
-// i%len (wrapping), in join order. At bootstrap this reproduces exactly
-// the static ReplicaGroups layout the cluster was seeded with, so epoch 1
-// changes nothing; later epochs reshuffle only as members come and go.
-// Draining and removed members appear in no group.
+// i%len (wrapping), in join order: the first entry is the shard's initial
+// primary and the rest its succession order. Later epochs reshuffle only
+// as members come and go. Draining and removed members appear in no
+// group.
 func (m ClusterMap) DeriveGroups() [][]string {
 	hosts := m.activeShardHosts()
 	groups := make([][]string, m.NumShards)

@@ -104,9 +104,10 @@ type Message struct {
 	Num2    int64
 	Gen     int64
 	// Epoch stamps the sender's cluster-map epoch on membership-aware
-	// requests. 0 means unstamped (legacy fixed-topology peers); a
-	// receiver holding a newer map bounces stamped requests with
-	// ErrStaleMap and its encoded map in the response payload.
+	// requests. 0 means unstamped (a sender with no map installed, or a
+	// replication-plane call); a receiver holding a newer map bounces
+	// stamped requests with ErrStaleMap and its encoded map in the
+	// response payload.
 	Epoch    int64
 	Complete bool
 	Wait     bool
