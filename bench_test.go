@@ -379,8 +379,10 @@ func BenchmarkStripedGet(b *testing.B) {
 					Latency:     200 * time.Microsecond,
 					BytesPerSec: 32 << 20,
 				},
-				StripeThreshold: 1 << 20,
-				MaxSources:      srcs,
+				Tuning: hoplite.Tuning{
+					StripeThreshold: 1 << 20,
+					MaxSources:      srcs,
+				},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -537,21 +539,16 @@ func BenchmarkSmallObjectInline(b *testing.B) {
 	}
 }
 
-// BenchmarkSpillRestore measures the spill tier's restore path: two
-// objects share a memory budget that fits only one, so every Get of the
-// cold one streams its payload back off the spill file (demoting the
-// other). The reported MB/s is disk-restore throughput including the
-// demotion it triggers.
 // BenchmarkSmallObjectQPS measures the small-object fast path end to end
 // on the paper's emulated testbed link (200µs, 10 Gbps): concurrent
 // workers drive Put+Get pairs of 1 KiB objects between two nodes.
 //
-//	baseline — the pre-fast-path configuration: inline payloads off (every
-//	  Get is a directory acquire plus a data-plane pull), write batching
-//	  off (one syscall per control frame), location cache off.
-//	fastpath — the default configuration: sub-threshold objects ride
-//	  inline in directory replies (a cold Get is one RPC), control frames
-//	  coalesce, and locations are cached.
+//	baseline — inline payloads off (every Get is a directory acquire plus
+//	  a data-plane pull) and location cache off.
+//	fastpath — the shipping defaults: sub-threshold objects ride inline in
+//	  directory replies (a cold Get is one RPC) and locations are cached.
+//
+// Both variants coalesce concurrent control frames on each connection.
 //
 // CI's bench-smoke job asserts a floor on the fastpath ops/sec and the
 // fastpath/baseline ratio (see .github/workflows/ci.yml).
@@ -609,24 +606,28 @@ func BenchmarkSmallObjectQPS(b *testing.B) {
 		}
 	}
 	b.Run("baseline", func(b *testing.B) {
-		run(b, hoplite.Options{InlineThreshold: -1, MaxBatchDelay: -1, LocationCacheSize: -1})
+		run(b, hoplite.Options{Tuning: hoplite.Tuning{InlineThreshold: -1, LocationCacheSize: -1}})
 	})
 	b.Run("fastpath", func(b *testing.B) {
-		// Inline payloads + location cache at their defaults, plus a
-		// batching window matched to the link latency so concurrent
-		// control frames coalesce into shared segments.
-		run(b, hoplite.Options{MaxBatchDelay: 200 * time.Microsecond})
+		run(b, hoplite.Options{})
 	})
 }
 
+// BenchmarkSpillRestore measures the spill tier's restore path: two
+// objects share a memory budget that fits only one, so every Get of the
+// cold one streams its payload back off the spill file (demoting the
+// other). The reported MB/s is disk-restore throughput including the
+// demotion it triggers.
 func BenchmarkSpillRestore(b *testing.B) {
 	const (
 		memLimit = 8 << 20
 		objSize  = 6 << 20
 	)
 	c, err := hoplite.StartLocalCluster(1, hoplite.Options{
-		MemoryLimit: memLimit,
-		SpillDir:    b.TempDir(),
+		Tuning: hoplite.Tuning{
+			MemoryLimit: memLimit,
+			SpillDir:    b.TempDir(),
+		},
 	})
 	if err != nil {
 		b.Fatal(err)

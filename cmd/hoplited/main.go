@@ -29,18 +29,18 @@
 //	    -memory-limit 8589934592 -spill-dir /data/hoplite-spill
 //
 // With -memory-limit, Put/Create apply admission backpressure instead of
-// growing past the budget; with -spill-dir, cold objects are demoted to
-// disk and served (or restored) from there. The spill directory is
-// rescanned on restart, so a restarted daemon re-offers the objects it
-// spilled. Use hoplite-cli against any node's address; see
-// docs/OPERATIONS.md for the full tuning guide.
+// growing past the budget; -spill-dir, which requires -memory-limit,
+// demotes cold objects to disk and serves (or restores) them from there.
+// The spill directory is rescanned on restart, so a restarted daemon
+// re-offers the objects it spilled. Knobs without a flag run at their
+// defaults; control-plane writes always coalesce. Use hoplite-cli against
+// any node's address; see docs/OPERATIONS.md for the full tuning guide.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -54,14 +54,9 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on (control + data plane)")
 	replication := flag.Int("replication", 1, "with -bootstrap: directory shard replication factor R; shard i is replicated on the founding members i..i+R-1 (mod n)")
-	capacity := flag.Int64("capacity", 0, "legacy store capacity in bytes (0 = unlimited); prefer -memory-limit")
 	memLimit := flag.Int64("memory-limit", 0, "in-memory store budget in bytes with admission backpressure (0 = unlimited)")
-	spillDir := flag.String("spill-dir", "", "directory for the disk spill tier (empty = spill disabled); rescanned on restart")
-	spillHigh := flag.Float64("spill-high", 0, "demotion high watermark as a fraction of -memory-limit (default 0.90)")
-	spillLow := flag.Float64("spill-low", 0, "demotion low watermark as a fraction of -memory-limit (default 0.70)")
+	spillDir := flag.String("spill-dir", "", "directory for the disk spill tier (empty = spill disabled; requires -memory-limit); rescanned on restart")
 	inline := flag.Int64("inline-threshold", 0, "small-object inline threshold in bytes (default 64 KiB, negative disables)")
-	batchDelay := flag.Duration("batch-delay", 0, "control-plane write-coalescing window (0 = opportunistic, negative disables batching)")
-	batchBytes := flag.Int("batch-bytes", 0, "flush a batching window early at this many queued bytes (0 = default 256 KiB)")
 	locCache := flag.Int("loc-cache", 0, "location cache entries per node (0 = default 4096, negative disables)")
 	bootstrap := flag.String("bootstrap", "", "comma-separated founding member addresses, every one an active shard host; all founding daemons must be given the identical list (default: found a single-node cluster)")
 	join := flag.String("join", "", "comma-separated seed addresses of a running cluster to join at startup (elastic scale-out)")
@@ -69,51 +64,14 @@ func main() {
 	objectRepl := flag.Int("object-replication", 1, "with -bootstrap: object replication target the repair scanner restores after drains and declared node losses")
 	repairEvery := flag.Duration("repair-interval", 0, "re-replication scanner period (0 = default 250ms, negative disables)")
 	schedClasses := flag.Int("sched-classes", 0, "egress scheduler classes: 2 (default) isolates latency-sensitive small pulls from bulk transfers, 1 disables scheduling")
-	bulkCutoff := flag.Int64("bulk-cutoff", 0, "pull span in bytes at or above which a pull is classed as bulk by the egress scheduler (0 = default 1 MiB)")
-	linkHalfLife := flag.Duration("link-half-life", 0, "decay half-life for measured link estimates on quiet links (0 = default 10s)")
 	locality := flag.String("locality", "", "locality domain label for this node (e.g. a rack or DC name); unmeasured links borrow their domain's mean estimate")
 	flag.Parse()
 
-	if *spillDir != "" && *memLimit <= 0 && *capacity <= 0 {
-		log.Fatal("hoplited: -spill-dir requires -memory-limit (or -capacity): with an unbounded store nothing is ever demoted")
+	if *spillDir != "" && *memLimit <= 0 {
+		log.Fatal("hoplited: -spill-dir requires -memory-limit: with an unbounded store nothing is ever demoted")
 	}
-
-	// -bootstrap builds the founding epoch-1 cluster map (identical on
-	// every founding daemon); -join asks a running cluster's membership
-	// shard to admit this node; with neither the node founds a
-	// single-node cluster of its own.
-	var initialMap *types.ClusterMap
-	var joinAddrs []string
-	switch {
-	case *bootstrap != "" && *join != "":
+	if *bootstrap != "" && *join != "" {
 		log.Fatal("hoplited: -bootstrap and -join are mutually exclusive")
-	case *bootstrap != "":
-		var members []string
-		for _, s := range strings.Split(*bootstrap, ",") {
-			members = append(members, strings.TrimSpace(s))
-		}
-		r := *replication
-		if r < 1 {
-			r = 1
-		}
-		cm := types.ClusterMap{
-			Epoch:     1,
-			NumShards: len(members),
-			DirRF:     r,
-			ObjectRF:  *objectRepl,
-		}
-		for _, m := range members {
-			cm.Members = append(cm.Members, types.Member{
-				Addr:      types.NodeID(m),
-				State:     types.MemberActive,
-				ShardHost: true,
-			})
-		}
-		initialMap = &cm
-	case *join != "":
-		for _, s := range strings.Split(*join, ",") {
-			joinAddrs = append(joinAddrs, strings.TrimSpace(s))
-		}
 	}
 
 	fab := &netem.TCP{ListenAddr: *listen}
@@ -121,38 +79,32 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen %s: %v", *listen, err)
 	}
-	if initialMap != nil && *locality != "" {
-		// The founding map is derived from the -bootstrap address list,
-		// which carries no locality labels; stamp this daemon's own entry.
-		// (-join members propagate their label through the membership
-		// shard instead.)
-		self := ln.Addr().String()
-		for i := range initialMap.Members {
-			if a := string(initialMap.Members[i].Addr); a == self || a == *listen {
-				initialMap.Members[i].Locality = *locality
-			}
+	// -bootstrap builds the founding epoch-1 cluster map (identical on
+	// every founding daemon); -join asks a running cluster's membership
+	// shard to admit this node; with neither the node founds a
+	// single-node cluster of its own.
+	var initialMap *types.ClusterMap
+	if *bootstrap != "" {
+		initialMap, err = foundingMap(*bootstrap, *replication, *objectRepl, *locality, ln.Addr().String(), *listen)
+		if err != nil {
+			log.Fatalf("hoplited: -bootstrap: %v", err)
 		}
 	}
 	node, err := hoplite.NewNode(hoplite.Config{
-		Fabric:            fab,
-		Listener:          ln,
-		InitialMap:        initialMap,
-		JoinAddrs:         joinAddrs,
-		JoinStorageOnly:   *storageOnly,
-		RepairInterval:    *repairEvery,
-		StoreCapacity:     *capacity,
-		MemoryLimit:       *memLimit,
-		SpillDir:          *spillDir,
-		SpillHighWater:    *spillHigh,
-		SpillLowWater:     *spillLow,
-		InlineThreshold:   *inline,
-		MaxBatchDelay:     *batchDelay,
-		MaxBatchBytes:     *batchBytes,
-		LocationCacheSize: *locCache,
-		SchedClasses:      *schedClasses,
-		BulkCutoff:        *bulkCutoff,
-		LinkHalfLife:      *linkHalfLife,
-		Locality:          *locality,
+		Fabric:          fab,
+		Listener:        ln,
+		InitialMap:      initialMap,
+		JoinAddrs:       splitList(*join),
+		JoinStorageOnly: *storageOnly,
+		Locality:        *locality,
+		Tuning: hoplite.Tuning{
+			RepairInterval:    *repairEvery,
+			MemoryLimit:       *memLimit,
+			SpillDir:          *spillDir,
+			InlineThreshold:   *inline,
+			LocationCacheSize: *locCache,
+			SchedClasses:      *schedClasses,
+		},
 	})
 	if err != nil {
 		log.Fatalf("start node: %v", err)
@@ -165,5 +117,52 @@ func main() {
 	<-sig
 	fmt.Println("hoplited: shutting down")
 	node.Close()
-	var _ net.Listener = ln
+}
+
+// splitList splits a comma-separated address list, trimming spaces.
+func splitList(list string) []string {
+	if list == "" {
+		return nil
+	}
+	var out []string
+	for _, s := range strings.Split(list, ",") {
+		out = append(out, strings.TrimSpace(s))
+	}
+	return out
+}
+
+// foundingMap builds the epoch-1 cluster map a -bootstrap list names:
+// every member is an active shard host, each hosting one shard. The list
+// carries no locality labels, so the daemon stamps its own entry — the one
+// matching any of self — with locality; -join members propagate their
+// label through the membership shard instead. An empty or repeated entry
+// is an error: either would found a map whose members cannot all be
+// dialed.
+func foundingMap(list string, replication, objectRF int, locality string, self ...string) (*types.ClusterMap, error) {
+	if replication < 1 {
+		replication = 1
+	}
+	members := splitList(list)
+	cm := &types.ClusterMap{
+		Epoch:     1,
+		NumShards: len(members),
+		DirRF:     replication,
+		ObjectRF:  objectRF,
+	}
+	for i, m := range members {
+		if m == "" {
+			return nil, fmt.Errorf("empty member address at position %d of %q", i+1, list)
+		}
+		if cm.MemberIndex(types.NodeID(m)) >= 0 {
+			return nil, fmt.Errorf("member %s listed twice", m)
+		}
+		mem := types.Member{Addr: types.NodeID(m), State: types.MemberActive, ShardHost: true}
+		for _, a := range self {
+			if m == a {
+				mem.Locality = locality
+			}
+		}
+		cm.Members = append(cm.Members, mem)
+	}
+	return cm, nil
 }

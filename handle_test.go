@@ -19,11 +19,12 @@ import (
 // TestObjectRefSurvivesEviction is the end-to-end regression test for the
 // GetImmutable recycle hazard: a held ObjectRef pins the store copy, so
 // store-pressure eviction must skip it; once released, the copy becomes
-// the next eviction victim.
+// the next eviction victim. The pressure objects' origins rotate over
+// nodes 2-5, so no origin pins more than the memory limit.
 func TestObjectRefSurvivesEviction(t *testing.T) {
 	ctx := testCtx(t)
 	const objSize = 1 << 20
-	c := startCluster(t, 2, Options{StoreCapacity: int64(objSize)*2 + objSize/2})
+	c := startCluster(t, 6, Options{Tuning: Tuning{MemoryLimit: int64(objSize)*2 + objSize/2}})
 	oid := ObjectIDFromString("pinned-under-pressure")
 	want := payload(objSize, 9)
 	if err := c.Node(0).Put(ctx, oid, want); err != nil {
@@ -38,7 +39,7 @@ func TestObjectRefSurvivesEviction(t *testing.T) {
 	// but never the ref'd copy, even though it is the LRU entry.
 	for i := 0; i < 4; i++ {
 		other := ObjectIDFromString(fmt.Sprintf("pressure-%d", i))
-		if err := c.Node(0).Put(ctx, other, payload(objSize, byte(i))); err != nil {
+		if err := c.Node(2+i%4).Put(ctx, other, payload(objSize, byte(i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Node(1).Get(ctx, other); err != nil {
@@ -60,7 +61,7 @@ func TestObjectRefSurvivesEviction(t *testing.T) {
 	// Released and cold: the next pressure round may now evict it.
 	for i := 4; i < 7; i++ {
 		other := ObjectIDFromString(fmt.Sprintf("pressure-%d", i))
-		if err := c.Node(0).Put(ctx, other, payload(objSize, byte(i))); err != nil {
+		if err := c.Node(2+i%4).Put(ctx, other, payload(objSize, byte(i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Node(1).Get(ctx, other); err != nil {

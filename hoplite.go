@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"time"
 
 	"hoplite/internal/core"
 	"hoplite/internal/netem"
@@ -112,60 +111,19 @@ func FetchClusterMap(ctx context.Context, fab netem.Fabric, seeds []string) (Clu
 	return core.FetchClusterMap(ctx, fab, seeds)
 }
 
-// Options configures a local cluster.
+// Tuning holds the node knobs; see core.Tuning. A local cluster applies
+// the same Tuning to every node.
+type Tuning = core.Tuning
+
+// Options configures a local cluster: the node Tuning plus the cluster's
+// shape.
 type Options struct {
+	Tuning
 	// Emulate, if non-nil, shapes every node's links (one-way latency and
 	// full-duplex per-node bandwidth) to stand in for the paper's
-	// testbed. Nil runs plain loopback TCP.
+	// testbed, and supplies the Latency/Bandwidth priors left at zero.
+	// Nil runs plain loopback TCP.
 	Emulate *netem.LinkConfig
-	// InlineThreshold overrides the inline fast-path threshold (bytes):
-	// objects below it ride inline in directory replies, making a cold
-	// Get of one exactly one RPC. 0 = default (64 KB), negative disables.
-	InlineThreshold int64
-	// MaxBatchDelay is the control-plane write-coalescing window: zero
-	// batches opportunistically (no added latency), positive trades
-	// latency for larger batches, negative disables batching.
-	MaxBatchDelay time.Duration
-	// MaxBatchBytes cuts a batching window short once this many encoded
-	// bytes are queued (0 = default).
-	MaxBatchBytes int
-	// LocationCacheSize bounds each node's cache of directory lookup
-	// results, which lets repeat Gets of remote objects skip the
-	// directory entirely. 0 = default (4096 entries), negative disables.
-	LocationCacheSize int
-	// StoreCapacity bounds each node's store; 0 = unlimited. Legacy
-	// semantics: unpinned LRU eviction at the bound, pinned allocations
-	// overshoot. Prefer MemoryLimit.
-	StoreCapacity int64
-	// MemoryLimit bounds each node's in-memory store and enables
-	// admission backpressure: Put/Create block (ctx-governed) instead of
-	// overshooting when the limit is hit and nothing cold can be demoted
-	// or evicted. Combine with SpillDir for out-of-core workloads whose
-	// aggregate object bytes exceed cluster RAM. Takes precedence over
-	// StoreCapacity.
-	MemoryLimit int64
-	// SpillDir enables the disk spill tier: each node demotes cold sealed
-	// objects to chunk-aligned files under SpillDir/<node-name> instead
-	// of dropping them, serves them to peers straight off disk, and
-	// restores them transparently on a local Get. Empty disables spill.
-	SpillDir string
-	// SpillHighWater/SpillLowWater bound the demotion hysteresis as
-	// fractions of MemoryLimit (defaults 0.90/0.70).
-	SpillHighWater, SpillLowWater float64
-	// StripeThreshold is the minimum object size for which a Get stripes
-	// ranged pulls across multiple complete copies (0 = default, negative
-	// disables striping).
-	StripeThreshold int64
-	// MaxSources caps the number of senders a striped Get pulls from
-	// concurrently (0 = default, 1 disables striping).
-	MaxSources int
-	// ChunkSize is the data-plane wire chunk in bytes (0 = default
-	// 256 KiB). Smaller chunks tighten the egress scheduler's per-turn
-	// granularity — a latency-class pull waits behind at most one bulk
-	// chunk — at the cost of more frame and scheduling overhead.
-	ChunkSize int
-	// ReduceDegree forces the reduce tree degree (0 = automatic).
-	ReduceDegree int
 	// ShardNodes limits directory shards to the first k nodes (0 = every
 	// node hosts one). Keeping shards on "head" nodes bounds how much
 	// directory state rides on any one worker — the paper leaves
@@ -186,86 +144,19 @@ type Options struct {
 	// evacuation off draining nodes). It never triggers on mere
 	// disconnection — failure detection stays with the framework (§5.5).
 	ObjectReplication int
-	// RepairInterval is the repair scanner period (0 = directory default
-	// of 250ms, negative disables).
-	RepairInterval time.Duration
-	// Latency/Bandwidth are cold-start priors for the per-peer link-state
-	// estimators (and through them degree selection and striping): each
-	// node seeds every peer's RTT/bandwidth estimate from them and decays
-	// measurements back toward them when a link goes quiet. When Emulate
-	// is set they default to its values.
-	Latency   time.Duration
-	Bandwidth float64
-	// LinkHalfLife is the decay half-life for measured link estimates on
-	// quiet links (0 = default 10s).
-	LinkHalfLife time.Duration
-	// SchedClasses configures each node's egress scheduler: 2 (default)
-	// separates latency-sensitive small pulls from bulk transfers under
-	// byte-deficit weighted-fair sharing; 1 disables scheduling.
-	SchedClasses int
-	// SchedQuantum is the scheduler's fairness quantum in bytes (0 =
-	// derived from the transfer chunk size).
-	SchedQuantum int64
-	// BulkCutoff is the pull span in bytes at or above which a pull is
-	// classed as bulk by the egress scheduler (0 = default 1 MiB).
-	BulkCutoff int64
-	// Localities optionally labels nodes with locality domains (rack or
-	// datacenter): node i gets Localities[i], missing entries mean no
-	// label. Peers without measurements inherit their domain's mean link
-	// estimate instead of the global prior.
-	Localities []string
-	// PipelineBlock overrides the pipelining block size.
-	PipelineBlock int
 }
 
-// localityFor returns the configured locality label for node i ("" when
-// unlabeled or out of range — late AddNode joiners are unlabeled).
-func (o Options) localityFor(i int) string {
-	if i < 0 || i >= len(o.Localities) {
-		return ""
-	}
-	return o.Localities[i]
-}
-
-// coreConfig translates the cluster options into one node's core.Config.
-// Every node construction — initial boot and restart — goes through this
-// single helper so a new knob cannot be silently dropped from one path.
-func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, initialMap *types.ClusterMap, locality string) core.Config {
-	spillDir := ""
-	if o.SpillDir != "" {
+// coreConfig builds one node's core.Config. Every node construction —
+// initial boot, join and restart — goes through this single helper.
+func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, initialMap *types.ClusterMap) core.Config {
+	t := o.Tuning
+	if t.SpillDir != "" {
 		// One subdirectory per node: in-process cluster nodes must not
 		// share an on-disk namespace, and a restarted node (same name)
 		// finds exactly the objects it spilled.
-		spillDir = filepath.Join(o.SpillDir, name)
+		t.SpillDir = filepath.Join(t.SpillDir, name)
 	}
-	return core.Config{
-		Fabric:            fab,
-		Name:              name,
-		Listener:          ln,
-		InitialMap:        initialMap,
-		RepairInterval:    o.RepairInterval,
-		InlineThreshold:   o.InlineThreshold,
-		MaxBatchDelay:     o.MaxBatchDelay,
-		MaxBatchBytes:     o.MaxBatchBytes,
-		LocationCacheSize: o.LocationCacheSize,
-		PipelineBlock:     o.PipelineBlock,
-		StoreCapacity:     o.StoreCapacity,
-		MemoryLimit:       o.MemoryLimit,
-		SpillDir:          spillDir,
-		SpillHighWater:    o.SpillHighWater,
-		SpillLowWater:     o.SpillLowWater,
-		StripeThreshold:   o.StripeThreshold,
-		MaxSources:        o.MaxSources,
-		ChunkSize:         o.ChunkSize,
-		Latency:           o.Latency,
-		Bandwidth:         o.Bandwidth,
-		LinkHalfLife:      o.LinkHalfLife,
-		SchedClasses:      o.SchedClasses,
-		SchedQuantum:      o.SchedQuantum,
-		BulkCutoff:        o.BulkCutoff,
-		Locality:          locality,
-		ReduceDegree:      o.ReduceDegree,
-	}
+	return core.Config{Fabric: fab, Name: name, Listener: ln, InitialMap: initialMap, Tuning: t}
 }
 
 // Cluster is a set of in-process Hoplite nodes sharing a fabric and a
@@ -346,11 +237,10 @@ func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 			Addr:      types.NodeID(addr),
 			State:     types.MemberActive,
 			ShardHost: i < shardNodes,
-			Locality:  opts.localityFor(i),
 		})
 	}
 	for i := 0; i < n; i++ {
-		node, err := core.NewNode(opts.coreConfig(fab, fmt.Sprintf("node-%d", i), lns[i], &c.bootMap, opts.localityFor(i)))
+		node, err := core.NewNode(opts.coreConfig(fab, fmt.Sprintf("node-%d", i), lns[i], &c.bootMap))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -400,7 +290,7 @@ func (c *Cluster) AddNode(storageOnly bool) (int, error) {
 	if err != nil {
 		return -1, fmt.Errorf("hoplite: add node %d: %w", i, err)
 	}
-	cfg := c.opts.coreConfig(c.fab, name, ln, nil, c.opts.localityFor(i))
+	cfg := c.opts.coreConfig(c.fab, name, ln, nil)
 	cfg.JoinAddrs = c.liveAddrs()
 	cfg.JoinStorageOnly = storageOnly
 	node, err := core.NewNode(cfg)
@@ -525,7 +415,7 @@ func (c *Cluster) RestartNode(i int) error {
 	// replication level. With no live seed (whole-cluster restart), fall
 	// back to booting from the freshest map any slot holds.
 	cm := c.currentMap()
-	cfg := c.opts.coreConfig(c.fab, name, ln, &cm, c.opts.localityFor(i))
+	cfg := c.opts.coreConfig(c.fab, name, ln, &cm)
 	if seeds := c.liveAddrs(); len(seeds) > 0 {
 		shardHost := true
 		if mi := cm.MemberIndex(types.NodeID(c.addrs[i])); mi >= 0 {

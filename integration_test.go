@@ -104,7 +104,7 @@ func TestReduceArrivalOrderProperty(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			t.Run(fmt.Sprintf("d=%d/trial=%d", degree, trial), func(t *testing.T) {
 				ctx := testCtx(t)
-				c := startCluster(t, 5, Options{ReduceDegree: degree})
+				c := startCluster(t, 5, Options{Tuning: Tuning{ReduceDegree: degree}})
 				sources := make([]ObjectID, 5)
 				perm := rng.Perm(5)
 				var want float32
@@ -229,17 +229,18 @@ func TestReduceSmallObjects(t *testing.T) {
 }
 
 // TestEvictionUnderCapacity bounds a store and checks unpinned remote
-// copies are evicted while the pinned origin survives and stays
-// fetchable.
+// copies are evicted while the pinned origins survive and stay
+// fetchable. Origins alternate between nodes 0 and 2, so neither pins
+// more than the memory limit.
 func TestEvictionUnderCapacity(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 2, Options{StoreCapacity: 3 << 20})
+	c := startCluster(t, 3, Options{Tuning: Tuning{MemoryLimit: 3 << 20}})
 	data := payload(1<<20, 3)
 	var oids []ObjectID
 	for i := 0; i < 6; i++ {
 		oid := ObjectIDFromString(fmt.Sprintf("evict-%d", i))
 		oids = append(oids, oid)
-		if err := c.Node(0).Put(ctx, oid, data); err != nil && i < 3 {
+		if err := c.Node(2*(i%2)).Put(ctx, oid, data); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		// Node 1 caches a remote copy each time; its 3 MB store must
@@ -251,8 +252,8 @@ func TestEvictionUnderCapacity(t *testing.T) {
 	if used := c.Node(1).Store().Used(); used > 3<<20 {
 		t.Fatalf("node 1 store %d bytes exceeds capacity", used)
 	}
-	// Every object is still fetchable from the pinned origin.
-	for _, oid := range oids[:3] {
+	// Every object is still fetchable from its pinned origin.
+	for _, oid := range oids {
 		got, err := c.Node(1).Get(ctx, oid)
 		if err != nil {
 			t.Fatalf("refetch: %v", err)

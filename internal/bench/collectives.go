@@ -25,14 +25,16 @@ type HopliteEnv struct {
 func NewHopliteEnv(sc Scale, n, degree int) (*HopliteEnv, error) {
 	link := sc.Link()
 	c, err := hoplite.StartLocalCluster(n, hoplite.Options{
-		Emulate:         &link,
-		InlineThreshold: sc.SmallObject(),
-		ReduceDegree:    degree,
-		// Scale the pipelining block with the object sizes: the paper's
-		// 4 MB block assumes ≥32 MB objects; scaled-down objects need a
-		// proportionally finer block or chain pipelining degenerates to
-		// store-and-forward.
-		PipelineBlock: sc.PipelineBlock(),
+		Emulate: &link,
+		Tuning: hoplite.Tuning{
+			InlineThreshold: sc.SmallObject(),
+			ReduceDegree:    degree,
+			// Scale the pipelining block with the object sizes: the paper's
+			// 4 MB block assumes ≥32 MB objects; scaled-down objects need a
+			// proportionally finer block or chain pipelining degenerates to
+			// store-and-forward.
+			PipelineBlock: sc.PipelineBlock(),
+		},
 	})
 	if err != nil {
 		return nil, err

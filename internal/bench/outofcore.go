@@ -41,8 +41,10 @@ func OutOfCore(ctx context.Context, spillDir string, memLimit, objSize int64, fa
 	}
 	res.AggregateBytes = int64(res.Objects) * objSize
 	c, err := hoplite.StartLocalCluster(2, hoplite.Options{
-		MemoryLimit: memLimit,
-		SpillDir:    spillDir,
+		Tuning: hoplite.Tuning{
+			MemoryLimit: memLimit,
+			SpillDir:    spillDir,
+		},
 	})
 	if err != nil {
 		return res, err

@@ -11,7 +11,6 @@ import (
 
 	"hoplite/internal/netem"
 	"hoplite/internal/types"
-	"hoplite/internal/wire"
 )
 
 // Default tuning constants, matching the paper where it states values.
@@ -39,7 +38,12 @@ const (
 	DefaultMaxSources = 4
 )
 
-// Config configures a Node.
+// pingInterval is how often reduce coordinators probe participant
+// liveness.
+const pingInterval = 20 * time.Millisecond
+
+// Config configures a Node: the fields naming this node and how it joins
+// a cluster, plus the Tuning every node of a cluster shares.
 type Config struct {
 	// Fabric supplies listeners and dialers; use netem.TCP for production
 	// and netem.Emulated for testbed emulation. Required.
@@ -51,14 +55,6 @@ type Config struct {
 	// fabric. Cluster bootstrap pre-creates listeners so every node can
 	// boot from a founding map naming every member's address.
 	Listener net.Listener
-	// DirHeartbeatInterval and DirLeaseTimeout tune the directory
-	// replication failure detector: the primary of each hosted shard
-	// heartbeats its backups every interval, and a backup that has not
-	// heard from a live predecessor within the lease promotes itself.
-	// Zero selects the directory package defaults (50ms / 300ms).
-	DirHeartbeatInterval time.Duration
-	DirLeaseTimeout      time.Duration
-
 	// InitialMap is the epoch-versioned cluster map the node boots with:
 	// directory shard replica groups are derived from it, requests are
 	// stamped with its epoch, and later joins/drains re-shape the cluster
@@ -74,6 +70,17 @@ type Config struct {
 	// JoinStorageOnly joins the node as a pure storage member: it hosts
 	// object bytes but is never assigned a directory shard replica.
 	JoinStorageOnly bool
+	// Locality is this node's optional rack/DC label. It is announced on
+	// join, carried on the cluster map, and used by the link-state tracker
+	// to estimate unmeasured peers from the locality-domain mean.
+	Locality string
+
+	Tuning
+}
+
+// Tuning holds the node knobs. The zero value of every field selects its
+// default.
+type Tuning struct {
 	// RepairInterval is the period of the directory re-replication
 	// scanner that restores the map's ObjectRF after permanent node loss
 	// and evacuates sole copies off draining nodes. Zero selects the
@@ -86,15 +93,6 @@ type Config struct {
 	// Defaults to DefaultInlineThreshold. Negative disables the fast path.
 	InlineThreshold int64
 
-	// MaxBatchDelay is the control-plane write-coalescing window (see
-	// wire.BatchConfig.MaxDelay): zero batches opportunistically with no
-	// added latency, positive values trade latency for larger batches,
-	// and a negative value disables batching (one write+flush per call).
-	MaxBatchDelay time.Duration
-	// MaxBatchBytes cuts a batching window short once this many encoded
-	// bytes are queued. Zero means wire.DefaultMaxBatchBytes.
-	MaxBatchBytes int
-
 	// LocationCacheSize bounds the per-node cache of directory lookup
 	// results that lets repeat Gets of remote objects skip the directory
 	// and pull straight from a known complete-copy holder. Zero selects
@@ -102,19 +100,18 @@ type Config struct {
 	LocationCacheSize int
 	// PipelineBlock is the in-node copy and reduce streaming block size.
 	PipelineBlock int
-	// ChunkSize is the data-plane wire chunk size.
+	// ChunkSize is the data-plane wire chunk size. Smaller chunks tighten
+	// the egress scheduler's per-turn granularity — a latency-class pull
+	// waits behind at most one bulk chunk — at the cost of more frame and
+	// scheduling overhead.
 	ChunkSize int
-	// StoreCapacity bounds the local store in bytes; 0 means unlimited.
-	// Legacy semantics: unpinned LRU eviction at the bound, pinned
-	// allocations overshoot. Prefer MemoryLimit for new deployments.
-	StoreCapacity int64
 
 	// MemoryLimit bounds the in-memory store in bytes and enables
 	// admission control: a Put/Create that cannot fit under the limit —
 	// even after demoting or evicting every eligible cold object — blocks
 	// (governed by its ctx) instead of overshooting or failing. Combine
-	// with SpillDir for the tiered out-of-core mode. Zero disables
-	// admission; MemoryLimit takes precedence over StoreCapacity.
+	// with SpillDir for the tiered out-of-core mode. Zero leaves the
+	// store unbounded.
 	MemoryLimit int64
 	// SpillDir, when set, enables the disk spill tier: under memory
 	// pressure cold sealed objects are demoted to files in this directory
@@ -124,11 +121,6 @@ type Config struct {
 	// memory on a local Get. The directory is rescanned at startup, so a
 	// restarted node re-offers the objects it spilled in a previous life.
 	SpillDir string
-	// SpillHighWater and SpillLowWater are fractions of the memory budget
-	// bounding the demotion hysteresis: an allocation that would push
-	// usage past High demotes cold objects until usage falls below Low.
-	// Zero selects the store defaults (0.90 / 0.70).
-	SpillHighWater, SpillLowWater float64
 
 	// StripeThreshold is the minimum object size for a striped Get that
 	// pulls disjoint ranges from several complete copies concurrently.
@@ -148,36 +140,15 @@ type Config struct {
 	Latency   time.Duration
 	Bandwidth float64
 
-	// LinkHalfLife is the quiet-link decay half-life of the link-state
-	// estimator: after a link has been idle, its measured estimate decays
-	// toward the Latency/Bandwidth priors with this half-life. Zero
-	// selects the linkstate default (10s); negative disables decay.
-	LinkHalfLife time.Duration
-
-	// Locality is this node's optional rack/DC label. It is announced on
-	// join, carried on the cluster map, and used by the link-state tracker
-	// to estimate unmeasured peers from the locality-domain mean.
-	Locality string
-
 	// SchedClasses configures the data-plane egress scheduler: 2 (default)
 	// enables the weighted-fair latency/bulk scheduler so a saturating
 	// striped Get cannot starve a small Get; 1 disables scheduling.
 	SchedClasses int
-	// SchedQuantum is the scheduler's byte-deficit quantum; 0 selects one
-	// chunk frame (the minimum the deficit gate allows).
-	SchedQuantum int64
-	// BulkCutoff is the full-pull size at or above which a pull is
-	// scheduled as bulk; 0 selects transport.DefaultBulkCutoff (1 MB).
-	BulkCutoff int64
 
 	// ReduceDegree forces the reduce tree degree: 0 = choose
 	// automatically among {1, 2, n}; otherwise the given d is used
 	// (n-ary when d >= n). Used by the Figure 15 ablation.
 	ReduceDegree int
-
-	// PingInterval is how often reduce coordinators probe participant
-	// liveness. Defaults to 20 ms.
-	PingInterval time.Duration
 }
 
 func (c *Config) withDefaults() Config {
@@ -215,16 +186,8 @@ func (c *Config) withDefaults() Config {
 	if cfg.Bandwidth <= 0 {
 		cfg.Bandwidth = 1.25e9
 	}
-	if cfg.PingInterval <= 0 {
-		cfg.PingInterval = 20 * time.Millisecond
-	}
 	if cfg.SchedClasses == 0 {
 		cfg.SchedClasses = 2
 	}
 	return cfg
-}
-
-// batchConfig translates the batching knobs into the wire package's form.
-func (c *Config) batchConfig() wire.BatchConfig {
-	return wire.BatchConfig{MaxDelay: c.MaxBatchDelay, MaxBytes: c.MaxBatchBytes}
 }

@@ -125,7 +125,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n.links = linkstate.New(linkstate.Config{
 		PriorRTT:       c.Latency,
 		PriorBandwidth: c.Bandwidth,
-		HalfLife:       c.LinkHalfLife,
 	})
 	n.plan = linkPlanner{links: n.links, latency: c.Latency, bandwidth: c.Bandwidth}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
@@ -137,18 +136,12 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		n.spill = sp
 	}
-	// MemoryLimit selects the tiered store (admission backpressure and,
-	// with a spill dir, demotion); StoreCapacity keeps the legacy
-	// overshooting LRU bound.
+	// MemoryLimit bounds the store with admission backpressure and, with
+	// a spill dir, demotion; zero leaves it unbounded.
 	tier := store.Tier{
-		Capacity:  c.StoreCapacity,
-		HighWater: c.SpillHighWater,
-		LowWater:  c.SpillLowWater,
+		Capacity:  c.MemoryLimit,
+		Admission: c.MemoryLimit > 0,
 		OnEvict:   n.onEvict,
-	}
-	if c.MemoryLimit > 0 {
-		tier.Capacity = c.MemoryLimit
-		tier.Admission = true
 	}
 	if n.spill != nil {
 		tier.Demote = n.demoteToSpill
@@ -182,16 +175,13 @@ func NewNode(cfg Config) (*Node, error) {
 	// replicas today — so map pushes, snapshots and later rebalances land
 	// on live machinery.
 	n.shard = directory.NewReplicated(directory.Config{
-		Self:              addr,
-		Dial:              n.dialCtrl,
-		HeartbeatInterval: c.DirHeartbeatInterval,
-		LeaseTimeout:      c.DirLeaseTimeout,
-		InitialMap:        &cm,
-		RepairInterval:    c.RepairInterval,
-		OnMap:             n.applyMap,
+		Self:           addr,
+		Dial:           n.dialCtrl,
+		InitialMap:     &cm,
+		RepairInterval: c.RepairInterval,
+		OnMap:          n.applyMap,
 	})
 	n.dir = directory.NewReplicatedClient(n.id, cm.DeriveGroups(), n.dialCtrl)
-	n.dir.SetBatchConfig(c.batchConfig())
 	n.cmap = cm.Clone()
 	n.encodedMap = types.EncodeClusterMap(nil, n.cmap)
 	n.links.SetLocality(n.cmap.Localities())
@@ -201,11 +191,11 @@ func NewNode(cfg Config) (*Node, error) {
 	n.dataLn = newChanListener(ln.Addr())
 	n.ctrlLn = newChanListener(ln.Addr())
 	n.dataSrv = transport.NewServer(n.dataLn, n.serveBuffer, c.ChunkSize, n.onSendFailure)
-	n.dataSrv.ConfigureScheduler(c.SchedClasses, c.SchedQuantum, c.BulkCutoff)
+	n.dataSrv.ConfigureScheduler(c.SchedClasses, 0, 0)
 	n.dataSrv.SetTelemetry(func(peer types.NodeID, bytes int64, d time.Duration) {
 		n.links.ObserveTransfer(peer, bytes, d)
 	})
-	n.ctrlSrv = wire.NewServerWith(n.ctrlLn, n.handleCtrl, c.batchConfig())
+	n.ctrlSrv = wire.NewServer(n.ctrlLn, n.handleCtrl)
 
 	n.wg.Add(3)
 	go func() { defer n.wg.Done(); n.acceptLoop() }()
@@ -477,7 +467,7 @@ func (n *Node) peerCtrl(ctx context.Context, addr string) (*wire.Client, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := wire.NewClientWith(conn, nil, n.cfg.batchConfig())
+	c := wire.NewClient(conn, nil)
 	// Every control round-trip on this client doubles as an RTT probe for
 	// the link estimator. Peer control handlers respond immediately (no
 	// blocking waits), so the measured time is genuine RPC latency.

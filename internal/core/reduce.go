@@ -705,7 +705,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 
 	// Event loop: absorb arrivals, probe participant liveness, finish
 	// when the target object is complete.
-	ping := time.NewTicker(n.cfg.PingInterval)
+	ping := time.NewTicker(pingInterval)
 	defer ping.Stop()
 	for {
 		select {

@@ -77,6 +77,14 @@ func TestPromotionOrder(t *testing.T) {
 	if h.dirs[1].Primary(0) || h.dirs[2].Primary(0) {
 		t.Fatal("backup believes itself primary at boot")
 	}
+	// Succession follows group order only among equally synced replicas:
+	// a backup the primary has not heartbeated yet still holds the boot
+	// epoch and rightly loses to one that has. Kill only after both
+	// backups have adopted the primary's epoch.
+	epoch := h.dirs[0].Roles()[0].Epoch
+	waitFor(t, "backups to adopt the primary's epoch", func() bool {
+		return h.dirs[1].Roles()[0].Epoch == epoch && h.dirs[2].Roles()[0].Epoch == epoch
+	})
 	h.kill(0)
 	waitFor(t, "second replica promotion", func() bool { return h.dirs[1].Primary(0) })
 	if h.dirs[2].Primary(0) {

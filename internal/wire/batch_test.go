@@ -54,11 +54,24 @@ func (w *collectWriter) frames(t *testing.T) []Message {
 	}
 }
 
-// Frames enqueued during a coalescing window must drain in enqueue order
-// and share a single write.
+// gatedWriter is a collectWriter whose first Write blocks until release
+// is closed, so frames enqueued meanwhile pile up behind the flusher.
+type gatedWriter struct {
+	collectWriter
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { <-w.release })
+	return w.collectWriter.Write(p)
+}
+
+// Frames enqueued while the flusher is busy must drain in enqueue order
+// and share writes.
 func TestBatcherCoalescesAndPreservesOrder(t *testing.T) {
-	w := &collectWriter{}
-	b := newBatcher(w, BatchConfig{MaxDelay: 20 * time.Millisecond}, nil)
+	w := &gatedWriter{release: make(chan struct{})}
+	b := newBatcher(w, nil)
 	defer b.close()
 	const n = 50
 	for i := int64(0); i < n; i++ {
@@ -66,6 +79,7 @@ func TestBatcherCoalescesAndPreservesOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	close(w.release)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if got := w.frames(t); len(got) == n {
@@ -90,50 +104,6 @@ func TestBatcherCoalescesAndPreservesOrder(t *testing.T) {
 	}
 }
 
-// MaxBytes must cut a delay window short: a queue past the threshold is
-// written well before MaxDelay expires.
-func TestBatcherMaxBytesCutsWindowShort(t *testing.T) {
-	w := &collectWriter{}
-	b := newBatcher(w, BatchConfig{MaxDelay: 10 * time.Second, MaxBytes: 1024}, nil)
-	defer b.close()
-	payload := make([]byte, 512)
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		if err := b.enqueue(&Message{Method: MethodPing, Payload: payload}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(w.frames(t)) < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("frames not flushed before MaxDelay: %d drained", len(w.frames(t)))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("flush took %v, MaxBytes threshold ignored", elapsed)
-	}
-}
-
-// Disabled batching (MaxDelay < 0) must behave like the legacy path:
-// synchronous write, one flush per frame.
-func TestBatcherDisabledWritesSynchronously(t *testing.T) {
-	w := &collectWriter{}
-	b := newBatcher(w, BatchConfig{MaxDelay: -1}, nil)
-	for i := int64(0); i < 5; i++ {
-		if err := b.enqueue(&Message{Method: MethodPing, Num: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := w.frames(t); len(got) != 5 {
-		t.Fatalf("%d frames after synchronous enqueue, want 5", len(got))
-	}
-	st := b.stats()
-	if st.Flushes != 5 || st.Frames != 5 {
-		t.Fatalf("stats %+v, want one flush per frame", st)
-	}
-}
-
 type errWriter struct{ err error }
 
 func (w errWriter) Write(p []byte) (int, error) { return 0, w.err }
@@ -142,7 +112,7 @@ func (w errWriter) Write(p []byte) (int, error) { return 0, w.err }
 // the owning connection tears down.
 func TestBatcherWriteFailureFiresHook(t *testing.T) {
 	failed := make(chan error, 1)
-	b := newBatcher(errWriter{errors.New("conn reset")}, BatchConfig{}, func(err error) {
+	b := newBatcher(errWriter{errors.New("conn reset")}, func(err error) {
 		failed <- err
 	})
 	_ = b.enqueue(&Message{Method: MethodPing})
@@ -164,6 +134,14 @@ func TestBatcherWriteFailureFiresHook(t *testing.T) {
 	}
 }
 
+// slowWriteConn delays every Write by a millisecond.
+type slowWriteConn struct{ net.Conn }
+
+func (c slowWriteConn) Write(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return c.Conn.Write(p)
+}
+
 // End to end: concurrent Calls over a real connection must coalesce —
 // strictly fewer writes than frames on the client's batcher — while every
 // call still completes with its own response.
@@ -182,7 +160,10 @@ func TestClientCallsCoalesceUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClientWith(conn, nil, BatchConfig{MaxDelay: 2 * time.Millisecond})
+	// A slow link keeps the flusher busy long enough for concurrent calls
+	// to queue behind it; plain loopback writes can finish before the next
+	// call enqueues.
+	c := NewClient(slowWriteConn{conn}, nil)
 	defer c.Close()
 
 	const calls = 200
@@ -227,7 +208,7 @@ func TestClientCloseFailsQueuedCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerWith(ln, h, BatchConfig{MaxDelay: time.Millisecond})
+	srv := NewServer(ln, h)
 	go srv.Serve()
 	defer srv.Close()
 	defer close(block)
@@ -235,7 +216,7 @@ func TestClientCloseFailsQueuedCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClientWith(conn, nil, BatchConfig{MaxDelay: time.Millisecond})
+	c := NewClient(conn, nil)
 
 	done := make(chan error, 1)
 	go func() {

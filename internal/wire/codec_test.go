@@ -121,14 +121,15 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
 	msgs := sampleMessages()
 	for i := range msgs {
-		if err := writeMessage(&buf, &msgs[i]); err != nil {
+		var err error
+		if stream, err = AppendMessage(stream, &msgs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(&buf)
+	br := bufio.NewReader(bytes.NewReader(stream))
 	for i := range msgs {
 		var got Message
 		if err := readMessage(br, &got); err != nil {

@@ -13,7 +13,7 @@ import (
 // though the underlying fabric is symmetric.
 func TestStripedGetSkewsSpansTowardFastSender(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 4, Options{StripeThreshold: 1 << 20, MaxSources: 4})
+	c := startCluster(t, 4, Options{Tuning: Tuning{StripeThreshold: 1 << 20, MaxSources: 4}})
 
 	// Seed the receiver's tracker: node 0 at ~200 MB/s, nodes 1-2 at
 	// ~50 MB/s. Repeated samples pin the EWMA regardless of gain.

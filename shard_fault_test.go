@@ -72,9 +72,11 @@ func TestShardPrimaryKillMidGet(t *testing.T) {
 func TestShardPrimaryKillMidStripedGet(t *testing.T) {
 	ctx := testCtx(t)
 	c := startCluster(t, 5, Options{
-		Emulate:         slowEmu(),
-		StripeThreshold: 1 << 20,
-		MaxSources:      4,
+		Emulate: slowEmu(),
+		Tuning: Tuning{
+			StripeThreshold: 1 << 20,
+			MaxSources:      4,
+		},
 	})
 	data := payload(16<<20, 22)
 	// Shard 4's group is nodes 4, 0, 1: node 4 is not among the senders
@@ -218,7 +220,7 @@ func TestShardPrimaryKillNoDoubleLease(t *testing.T) {
 func TestRestartNodeFailureLeavesClusterUsable(t *testing.T) {
 	ctx := testCtx(t)
 	spillRoot := t.TempDir()
-	c := startCluster(t, 3, Options{Emulate: slowEmu(), SpillDir: spillRoot})
+	c := startCluster(t, 3, Options{Emulate: slowEmu(), Tuning: Tuning{SpillDir: spillRoot}})
 	data := payload(2<<20, 24)
 	oid := oidOnShard(t, "restart-fail", c.Size(), 0)
 	if err := c.Node(0).Put(ctx, oid, data); err != nil {

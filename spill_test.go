@@ -46,7 +46,7 @@ func TestOutOfCoreSpill(t *testing.T) {
 		objSize  = 256 << 10
 		objects  = 16 // 4 MB aggregate = 4x the limit
 	)
-	c := startCluster(t, 2, Options{MemoryLimit: memLimit, SpillDir: t.TempDir()})
+	c := startCluster(t, 2, Options{Tuning: Tuning{MemoryLimit: memLimit, SpillDir: t.TempDir()}})
 	oids := make([]ObjectID, objects)
 	for i := range oids {
 		oids[i] = ObjectIDFromString(fmt.Sprintf("ooc-%d", i))
@@ -89,7 +89,7 @@ func TestOutOfCoreSpill(t *testing.T) {
 func TestBackpressureWithoutSpill(t *testing.T) {
 	ctx := testCtx(t)
 	const memLimit = 1 << 20
-	c := startCluster(t, 1, Options{MemoryLimit: memLimit})
+	c := startCluster(t, 1, Options{Tuning: Tuning{MemoryLimit: memLimit}})
 	n := c.Node(0)
 	a, b := ObjectIDFromString("bp-a"), ObjectIDFromString("bp-b")
 	if err := n.Put(ctx, a, payload(512<<10, 1)); err != nil {
@@ -130,10 +130,12 @@ func TestStripedGetWithSpilledSender(t *testing.T) {
 	ctx := testCtx(t)
 	const objSize = 1 << 20
 	c := startCluster(t, 4, Options{
-		MemoryLimit:     1536 << 10,
-		SpillDir:        t.TempDir(),
-		StripeThreshold: 256 << 10,
-		MaxSources:      3,
+		Tuning: Tuning{
+			MemoryLimit:     1536 << 10,
+			SpillDir:        t.TempDir(),
+			StripeThreshold: 256 << 10,
+			MaxSources:      3,
+		},
 	})
 	oid := ObjectIDFromString("striped-spill")
 	want := payload(objSize, 7)
@@ -176,10 +178,12 @@ func TestRestartRediscoversSpill(t *testing.T) {
 	ctx := testCtx(t)
 	dir := t.TempDir()
 	c := startCluster(t, 3, Options{
-		Emulate:     &netem.LinkConfig{Latency: 200 * time.Microsecond, BytesPerSec: 1e9},
-		ShardNodes:  1,
-		MemoryLimit: 1 << 20,
-		SpillDir:    dir,
+		Emulate:    &netem.LinkConfig{Latency: 200 * time.Microsecond, BytesPerSec: 1e9},
+		ShardNodes: 1,
+		Tuning: Tuning{
+			MemoryLimit: 1 << 20,
+			SpillDir:    dir,
+		},
 	})
 	oidA := ObjectIDFromString("restart-a")
 	wantA := payload(600<<10, 5)
@@ -228,7 +232,7 @@ func TestRestoreUnderEvictionPressure(t *testing.T) {
 		objSize  = 256 << 10
 		objects  = 16
 	)
-	c := startCluster(t, 1, Options{MemoryLimit: memLimit, SpillDir: t.TempDir()})
+	c := startCluster(t, 1, Options{Tuning: Tuning{MemoryLimit: memLimit, SpillDir: t.TempDir()}})
 	n := c.Node(0)
 	oids := make([]ObjectID, objects)
 	for i := range oids {

@@ -68,7 +68,7 @@ func okSlicePut(n int) {
 	pool.Put(buf[:n])
 }
 
-// okAnnotatedAlias mirrors wire.writeMessage: the buffer escapes through
+// okAnnotatedAlias encodes into pooled scratch: the buffer escapes through
 // an append alias the walker cannot track.
 func okAnnotatedAlias(n int) {
 	//hoplite:pool-transfer fixture: out aliases buf and the callee returns it
