@@ -543,10 +543,10 @@ func BenchmarkSmallObjectInline(b *testing.B) {
 // on the paper's emulated testbed link (200µs, 10 Gbps): concurrent
 // workers drive Put+Get pairs of 1 KiB objects between two nodes.
 //
-//	baseline — inline payloads off (every Get is a directory acquire plus
-//	  a data-plane pull) and location cache off.
+//	baseline — inline payloads off: every Get is a directory acquire plus
+//	  a data-plane pull.
 //	fastpath — the shipping defaults: sub-threshold objects ride inline in
-//	  directory replies (a cold Get is one RPC) and locations are cached.
+//	  directory replies, so a cold Get is one RPC.
 //
 // Both variants coalesce concurrent control frames on each connection.
 //
@@ -606,7 +606,7 @@ func BenchmarkSmallObjectQPS(b *testing.B) {
 		}
 	}
 	b.Run("baseline", func(b *testing.B) {
-		run(b, hoplite.Options{Tuning: hoplite.Tuning{InlineThreshold: -1, LocationCacheSize: -1}})
+		run(b, hoplite.Options{Tuning: hoplite.Tuning{InlineThreshold: -1}})
 	})
 	b.Run("fastpath", func(b *testing.B) {
 		run(b, hoplite.Options{})

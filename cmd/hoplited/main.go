@@ -57,7 +57,6 @@ func main() {
 	memLimit := flag.Int64("memory-limit", 0, "in-memory store budget in bytes with admission backpressure (0 = unlimited)")
 	spillDir := flag.String("spill-dir", "", "directory for the disk spill tier (empty = spill disabled; requires -memory-limit); rescanned on restart")
 	inline := flag.Int64("inline-threshold", 0, "small-object inline threshold in bytes (default 64 KiB, negative disables)")
-	locCache := flag.Int("loc-cache", 0, "location cache entries per node (0 = default 4096, negative disables)")
 	bootstrap := flag.String("bootstrap", "", "comma-separated founding member addresses, every one an active shard host; all founding daemons must be given the identical list (default: found a single-node cluster)")
 	join := flag.String("join", "", "comma-separated seed addresses of a running cluster to join at startup (elastic scale-out)")
 	storageOnly := flag.Bool("storage-only", false, "with -join: join as a pure storage member, never hosting directory shard replicas")
@@ -98,12 +97,11 @@ func main() {
 		JoinStorageOnly: *storageOnly,
 		Locality:        *locality,
 		Tuning: hoplite.Tuning{
-			RepairInterval:    *repairEvery,
-			MemoryLimit:       *memLimit,
-			SpillDir:          *spillDir,
-			InlineThreshold:   *inline,
-			LocationCacheSize: *locCache,
-			SchedClasses:      *schedClasses,
+			RepairInterval:  *repairEvery,
+			MemoryLimit:     *memLimit,
+			SpillDir:        *spillDir,
+			InlineThreshold: *inline,
+			SchedClasses:    *schedClasses,
 		},
 	})
 	if err != nil {

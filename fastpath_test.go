@@ -11,8 +11,8 @@ import (
 )
 
 // settleDirCalls waits until the node's directory RPC counter stops
-// moving (trailing lease releases and watch subscriptions run off the Get
-// critical path) and returns the settled value.
+// moving (trailing lease releases run off the Get critical path) and
+// returns the settled value.
 func settleDirCalls(t *testing.T, c *Cluster, i int) int64 {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -27,45 +27,6 @@ func settleDirCalls(t *testing.T, c *Cluster, i int) int64 {
 			t.Fatalf("directory call counter never settled (%d -> %d)", last, cur)
 		}
 		last = cur
-	}
-}
-
-// TestWarmGetZeroDirectoryRPCs is the fast path's headline acceptance
-// check: once a node has pulled a remote object and cached its location,
-// a repeat Get after local eviction goes straight to the cached sender —
-// zero directory RPCs.
-func TestWarmGetZeroDirectoryRPCs(t *testing.T) {
-	ctx := testCtx(t)
-	c := startCluster(t, 2, Options{})
-	data := payload(128<<10, 5) // above the inline threshold
-	oid := ObjectIDFromString("warm-cached")
-	if err := c.Node(0).Put(ctx, oid, data); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := c.Node(1).Get(ctx, oid); err != nil {
-		t.Fatalf("cold Get: %v", err)
-	}
-	// Let the trailing ReleaseSender and the cache's watch subscription
-	// land, then drop the local copy so the next Get must pull again.
-	settleDirCalls(t, c, 1)
-	if cs := c.Node(1).CacheStats(); cs.Size != 1 {
-		t.Fatalf("expected 1 cached location entry, got %+v", cs)
-	}
-	c.Node(1).Store().Delete(oid)
-
-	before := settleDirCalls(t, c, 1)
-	got, err := c.Node(1).Get(ctx, oid)
-	if err != nil {
-		t.Fatalf("warm Get: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("warm Get payload mismatch: %d bytes", len(got))
-	}
-	if after := c.Node(1).Directory().Stats().Calls; after != before {
-		t.Fatalf("warm Get issued %d directory RPCs, want 0", after-before)
-	}
-	if cs := c.Node(1).CacheStats(); cs.Hits < 1 {
-		t.Fatalf("warm Get did not hit the location cache: %+v", cs)
 	}
 }
 
@@ -93,49 +54,44 @@ func TestColdInlineGetOneRPC(t *testing.T) {
 	}
 }
 
-// TestCachedSenderDeadFailsOver covers the cached path's failover: with
-// two remembered holders, the death of one must not cost a directory
-// round trip — the pull moves to the next cached sender.
-func TestCachedSenderDeadFailsOver(t *testing.T) {
+// TestColdGetDirectoryRPCs pins the directory cost of a remote Get that
+// does not ride inline: one acquire and one release, and no subscription
+// left behind — the holder's later Delete costs the getter no further
+// directory calls.
+func TestColdGetDirectoryRPCs(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 3, Options{})
-	data := payload(256<<10, 11)
-	oid := ObjectIDFromString("cached-failover")
+	c := startCluster(t, 2, Options{})
+	data := payload(128<<10, 5) // above the inline threshold
+	oid := ObjectIDFromString("cold-leased")
 	if err := c.Node(0).Put(ctx, oid, data); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	// Spread complete copies onto nodes 0 and 1, then warm node 2's cache.
-	if _, err := c.Node(1).Get(ctx, oid); err != nil {
-		t.Fatalf("replicate Get: %v", err)
-	}
-	if _, err := c.Node(2).Get(ctx, oid); err != nil {
-		t.Fatalf("cold Get: %v", err)
-	}
-	settleDirCalls(t, c, 2)
-	c.Node(2).Store().Delete(oid)
-
-	// Kill one cached holder. Whichever sender the cached pull tries
-	// first, it must end with the data and without consulting the
-	// directory: a dead cached sender fails over inside the cache.
-	c.Node(0).Close()
-	before := settleDirCalls(t, c, 2)
-	got, err := c.Node(2).Get(ctx, oid)
+	before := settleDirCalls(t, c, 1)
+	got, err := c.Node(1).Get(ctx, oid)
 	if err != nil {
-		t.Fatalf("warm Get after sender death: %v", err)
+		t.Fatalf("Get: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("payload mismatch: %d bytes", len(got))
 	}
-	if after := c.Node(2).Directory().Stats().Calls; after != before {
-		t.Fatalf("cached failover issued %d directory RPCs, want 0", after-before)
+	afterGet := settleDirCalls(t, c, 1)
+	if afterGet != before+2 {
+		t.Fatalf("cold Get issued %d directory RPCs, want 2 (acquire, release)", afterGet-before)
+	}
+	if err := c.Node(0).Delete(ctx, oid); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	waitGone(t, c, oid)
+	if after := settleDirCalls(t, c, 1); after != afterGet {
+		t.Fatalf("holder's Delete cost the getter %d directory RPCs, want 0", after-afterGet)
 	}
 }
 
-// TestCachedHolderDeletesMidGet races a warm cached Get against the
+// TestColdGetDeleteRace races a receiver's first, leased Get against the
 // holder deleting the object cluster-wide. The Get must either return the
-// full payload or a deletion error — never hang, never corrupt — and the
-// cache entry must not survive the deletion. Run under -race.
-func TestCachedHolderDeletesMidGet(t *testing.T) {
+// full payload or a deletion error — never hang, never corrupt — and no
+// store may keep a copy once the deletion lands. Run under -race.
+func TestColdGetDeleteRace(t *testing.T) {
 	ctx := testCtx(t)
 	c := startCluster(t, 3, Options{})
 	for i := 0; i < 8; i++ {
@@ -144,12 +100,6 @@ func TestCachedHolderDeletesMidGet(t *testing.T) {
 		if err := c.Node(0).Put(ctx, oid, data); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		if _, err := c.Node(2).Get(ctx, oid); err != nil {
-			t.Fatalf("cold Get: %v", err)
-		}
-		settleDirCalls(t, c, 2)
-		c.Node(2).Store().Delete(oid)
-
 		errCh := make(chan error, 1)
 		gotCh := make(chan []byte, 1)
 		go func() {

@@ -20,9 +20,6 @@ const (
 	// cold Get of one is a single directory RPC with the payload riding
 	// the Acquire reply.
 	DefaultInlineThreshold = 64 << 10
-	// DefaultLocationCacheSize bounds the per-node cache of directory
-	// lookup results (see loccache.go).
-	DefaultLocationCacheSize = 4096
 	// DefaultPipelineBlock is the block granularity of in-node copies and
 	// streaming reduce (§5.1.1 reports a 4 MB pipelining block).
 	DefaultPipelineBlock = 4 << 20
@@ -93,11 +90,6 @@ type Tuning struct {
 	// Defaults to DefaultInlineThreshold. Negative disables the fast path.
 	InlineThreshold int64
 
-	// LocationCacheSize bounds the per-node cache of directory lookup
-	// results that lets repeat Gets of remote objects skip the directory
-	// and pull straight from a known complete-copy holder. Zero selects
-	// DefaultLocationCacheSize; negative disables the cache.
-	LocationCacheSize int
 	// PipelineBlock is the in-node copy and reduce streaming block size.
 	PipelineBlock int
 	// ChunkSize is the data-plane wire chunk size. Smaller chunks tighten
@@ -158,12 +150,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.InlineThreshold < 0 {
 		cfg.InlineThreshold = 0
-	}
-	if cfg.LocationCacheSize == 0 {
-		cfg.LocationCacheSize = DefaultLocationCacheSize
-	}
-	if cfg.LocationCacheSize < 0 {
-		cfg.LocationCacheSize = 0
 	}
 	if cfg.PipelineBlock <= 0 {
 		cfg.PipelineBlock = DefaultPipelineBlock

@@ -62,6 +62,37 @@ func (n *Node) Put(ctx context.Context, oid types.ObjectID, data []byte) error {
 // receivers ride through the window instead of surfacing a spurious error.
 const deleteGrace = 1500 * time.Millisecond
 
+// noteTombstone records that oid was deleted cluster-wide as observed by
+// this node (EvictLocal fan-out or its own Delete call). The inline fast
+// path consults it: an inline payload whose acquire overlapped the
+// deletion is served to the caller but never materialized in the store,
+// so the eviction fan-out cannot be outrun (resurrection).
+func (n *Node) noteTombstone(oid types.ObjectID) {
+	now := time.Now()
+	n.tombMu.Lock()
+	if n.tombs == nil {
+		n.tombs = make(map[types.ObjectID]time.Time)
+	}
+	if len(n.tombs) > 1024 {
+		for k, t := range n.tombs {
+			if now.Sub(t) > deleteGrace {
+				delete(n.tombs, k)
+			}
+		}
+	}
+	n.tombs[oid] = now
+	n.tombMu.Unlock()
+}
+
+// tombstonedSince reports whether oid was tombstoned after the given
+// instant (typically a pull's start time).
+func (n *Node) tombstonedSince(oid types.ObjectID, since time.Time) bool {
+	n.tombMu.Lock()
+	t, ok := n.tombs[oid]
+	n.tombMu.Unlock()
+	return ok && t.After(since)
+}
+
 // retryTransient runs op, retrying while it fails with a transient
 // deletion error (ErrDeleted/ErrAborted) inside the deleteGrace window.
 // Any other error, a ctx cancellation, or the window expiring surfaces
@@ -245,7 +276,6 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 		return err
 	}
 	n.noteTombstone(oid)
-	n.dropLocEntry(oid)
 	epoch := n.mapEpoch()
 	var firstErr error
 	for _, loc := range locs {
@@ -393,16 +423,6 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 		}
 	}
 
-	// Location cache second: a remembered complete-copy holder is pulled
-	// from directly, skipping the directory entirely (warm fast path).
-	if n.locs != nil {
-		if snap, ok := n.locs.get(oid); ok {
-			if buf, ok := n.startCachedPull(oid, p, snap); ok {
-				return buf, nil
-			}
-		}
-	}
-
 	var lease directory.Lease
 	acquired := false
 	if n.cfg.MaxSources > 1 && n.cfg.StripeThreshold > 0 {
@@ -426,7 +446,6 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 				return fail(cerr)
 			}
 			n.signalStoreChange()
-			n.armLocCache(oid, ml.Size, ml.Gen, ml.Senders)
 			p.buf = buf
 			close(p.ready)
 			n.wg.Add(1)
@@ -448,7 +467,6 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 			}
 			lease = directory.Lease{Sender: ml.Senders[0], Size: ml.Size, Gen: ml.Gen}
 			acquired = true
-			n.armLocCache(oid, ml.Size, ml.Gen, ml.Senders)
 		default:
 			// No unleased complete copy right now (or the object is not
 			// produced yet): fall through to the blocking single-sender
@@ -475,12 +493,6 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 		return fail(err)
 	}
 	n.signalStoreChange()
-	if !acquired {
-		// Blocking-acquire senders may hold only a partial copy, so they
-		// do not seed the cache; the watch record fills in whole-copy
-		// holders asynchronously.
-		n.armLocCache(oid, lease.Size, lease.Gen, nil)
-	}
 	p.buf = buf
 	close(p.ready)
 	n.wg.Add(1)

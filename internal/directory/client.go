@@ -110,8 +110,8 @@ func NewReplicatedClient(self types.NodeID, groups [][]string, dial Dialer) *Cli
 }
 
 // ClientStats is a snapshot of the client's control-plane activity, used
-// by the fast-path tests ("a warm cached Get issues zero directory RPCs")
-// and the QPS benchmark.
+// by the fast-path tests (a cold Get's exact directory RPC count) and the
+// QPS benchmark.
 type ClientStats struct {
 	Calls int64           // RPC attempts issued to shard replicas
 	Wire  wire.BatchStats // write batching aggregated across shard connections
